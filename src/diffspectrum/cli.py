@@ -33,8 +33,8 @@ from .errors import (
 from .field import MAX_N, Field
 from .solver import (
     CASE_B_EQUALS_ONE,
+    CASE_GENERIC_TWO,
     classify,
-    is_in_s2,
     solve,
     verify_solution,
 )
@@ -157,20 +157,22 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     b = _decode_b(field, args.b)
     classification = classify(field, b)
     outside_q2 = not field.in_subfield(b, 2 * field.n)
+    # outside GF(q^2), membership in the two-solution family is the case
+    s2 = int(classification.case == CASE_GENERIC_TWO)
     if args.format == FORMAT_JSON:
         payload = {
             "case": classification.case,
             "count": classification.predicted_count,
         }
         if outside_q2:
-            payload["s2"] = int(is_in_s2(field, b))
+            payload["s2"] = s2
         _emit(json.dumps(payload), args.out)
         return EXIT_OK
     if args.format == FORMAT_CSV:
         raise _CliError("classify does not support --format csv", EXIT_BAD_INPUT)
     line = f"case={classification.case} count={classification.predicted_count}"
     if outside_q2:
-        line += f" s2={int(is_in_s2(field, b))}"
+        line += f" s2={s2}"
     _emit(line, args.out)
     return EXIT_OK
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import Iterator
+from typing import Callable, Hashable, Iterator
 
 from .errors import (
     DegreeMismatch,
@@ -101,6 +101,23 @@ def default_modulus(degree: int) -> int:
     raise ValueError(f"no irreducible polynomial of degree {degree}")  # pragma: no cover
 
 
+def _byte_tables(images: list[int]) -> tuple[list[int], ...]:
+    """Byte-sliced lookup tables of the GF(2)-linear map with images[j] = L(X^j).
+
+    Table i maps every value v of input bits 8i..8i+7 to the XOR of the
+    images of its set bits, so L(a) is the XOR of one lookup per byte of a.
+    """
+    tables = []
+    for lo in range(0, len(images), 8):
+        chunk = images[lo:lo + 8]
+        table = [0] * (1 << len(chunk))
+        for v in range(1, len(table)):
+            low = v & -v
+            table[v] = table[v ^ low] ^ chunk[low.bit_length() - 1]
+        tables.append(table)
+    return tuple(tables)
+
+
 def _prime_factors(x: int) -> list[int]:
     out = []
     p = 2
@@ -173,6 +190,7 @@ class Field:
         self._primitive: int | None = None
         self._subfield_bases: dict[int, tuple[int, ...]] = {}
         self._trace_one: dict[int, int] = {}
+        self._linear_maps: dict[Hashable, tuple[list[int], ...]] = {}
 
     def __repr__(self) -> str:
         return f"Field(n={self.n}, modulus={self.modulus:#x})"
@@ -280,9 +298,35 @@ class Field:
         if not self.in_subfield(a, k):
             raise NotInSubfield(f"{a:#x} is not in GF(2^{k})")
 
+    def apply_linear(self, key: Hashable, image: Callable[[int], int], a: int) -> int:
+        """L(a) for the GF(2)-linear map L on this field named by key.
+
+        image(x) must compute L(x) for every field element x.  On the first
+        call for a key, image runs once per polynomial basis element X^j and
+        the results become byte-sliced tables; every call after that is one
+        table lookup per byte of a.
+        """
+        tables = self._linear_maps.get(key)
+        if tables is None:
+            tables = _byte_tables([image(1 << j) for j in range(self.degree)])
+            self._linear_maps[key] = tables
+        r = 0
+        for table in tables:
+            r ^= table[a & 0xFF]
+            a >>= 8
+        return r
+
     def trace_rel(self, a: int, l: int, k: int) -> int:
-        """Relative trace from GF(2^k) down to GF(2^l): sum of a^(2^(l*i))."""
+        """Relative trace from GF(2^k) down to GF(2^l): sum of a^(2^(l*i)).
+
+        The sum is GF(2)-linear in a, so it is evaluated through a table
+        built once per (l, k) from the basis images of _trace_sum.
+        """
         self._check_tower(a, l, k)
+        return self.apply_linear(("trace", l, k), lambda x: self._trace_sum(x, l, k), a)
+
+    def _trace_sum(self, a: int, l: int, k: int) -> int:
+        """The defining sum a + a^(2^l) + ... + a^(2^(l*(k/l - 1))), any a."""
         acc = cur = a
         for _ in range(k // l - 1):
             cur = self.frobenius2(cur, l)
@@ -380,16 +424,19 @@ class Field:
     def trace_one_element(self, k: int) -> int:
         """A fixed element of GF(2^k) with absolute trace 1.
 
-        Found by scanning the full field in integer order for absolute trace
-        1 and pushing that witness down with the relative trace, which keeps
-        the choice deterministic for every k at once.
+        The witness u is the smallest integer with absolute trace 1, pushed
+        down with the relative trace, which keeps the choice deterministic
+        for every k at once.  The trace is GF(2)-linear, so when X^j is the
+        lowest basis element of trace 1 every u < 2^j has trace 0 and the
+        smallest such u is 2^j itself: the scan takes at most 4n steps.
         """
         if k < 1 or self.degree % k:
             raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{self.degree})")
         if k not in self._trace_one:
-            u = 0
-            while self.trace_rel(u, 1, self.degree) != 1:
-                u += 1
+            j = 0
+            while self.trace_rel(1 << j, 1, self.degree) != 1:
+                j += 1
+            u = 1 << j
             theta = self.trace_rel(u, k, self.degree)
             assert self.trace_rel(theta, 1, k) == 1
             self._trace_one[k] = theta

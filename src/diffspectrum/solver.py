@@ -25,7 +25,7 @@ classifier exactly consistent with brute force by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import Iterator, Optional, Tuple
 
 from .errors import InternalDegenerate, PreconditionViolated
@@ -331,9 +331,9 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     delta = field.pow(field.div(beta, alpha), q - 1)
     result = GenericIntermediates(b=b, c=c, alpha=alpha, beta=beta, delta=delta)
     if delta == 1:
-        return _failed(result, FAIL_DELTA_ONE)
+        return replace(result, failure=FAIL_DELTA_ONE)
     if alpha == 1:
-        return _failed(result, FAIL_ALPHA_ONE)
+        return replace(result, failure=FAIL_ALPHA_ONE)
 
     gamma = field.div(c, beta)
     gamma_q = field.frobenius_q(gamma, 1)
@@ -346,17 +346,17 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
             field.mul(delta, field.mul(field.pow(alpha, q - 1), field.square(beta))),
         )
     )
-    result = _extend(result, gamma=gamma, U=U)
     uu = U ^ field.square(U)
     if uu == 0:
-        return _failed(result, FAIL_U_DEGENERATE)
+        return replace(result, gamma=gamma, U=U, failure=FAIL_U_DEGENERATE)
 
     T = field.div(1 ^ field.frobenius_q(delta, 1), field.sqrt(uu))
     T_q = field.frobenius_q(T, 1)
     t_pair = tuple(solve_t_from_T(field, T))
-    result = _extend(result, T=T, t_pair=t_pair)
     if not t_pair:
-        return _failed(result, FAIL_T_SUBFIELD)
+        return replace(
+            result, gamma=gamma, U=U, T=T, t_pair=t_pair, failure=FAIL_T_SUBFIELD
+        )
 
     A = field.div(field.mul(alpha, T) ^ T_q, alpha ^ 1)
     branches = []
@@ -389,33 +389,15 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
             continue
         branches.append(GenericBranch(t=t, A=A, B=B, B1=B1, lam=lam, z=z, x=x))
 
-    result = _extend(result, branches=tuple(branches))
-    if len(branches) != 2:
-        return _failed(result, branch_failure or FAIL_UNVERIFIED)
-    return result
-
-
-def _extend(result: GenericIntermediates, **updates) -> GenericIntermediates:
-    """Copy a frozen intermediates record with some fields replaced."""
-    state = {
-        "b": result.b,
-        "c": result.c,
-        "alpha": result.alpha,
-        "beta": result.beta,
-        "delta": result.delta,
-        "gamma": result.gamma,
-        "U": result.U,
-        "T": result.T,
-        "t_pair": result.t_pair,
-        "branches": result.branches,
-        "failure": result.failure,
-    }
-    state.update(updates)
-    return GenericIntermediates(**state)
-
-
-def _failed(result: GenericIntermediates, tag: str) -> GenericIntermediates:
-    return _extend(result, failure=tag)
+    return replace(
+        result,
+        gamma=gamma,
+        U=U,
+        T=T,
+        t_pair=t_pair,
+        branches=tuple(branches),
+        failure=None if len(branches) == 2 else branch_failure or FAIL_UNVERIFIED,
+    )
 
 
 def is_in_s2(field: Field, b: Element) -> bool:
@@ -460,34 +442,52 @@ def classify(field: Field, b: Element) -> Classification:
     are pairwise disjoint (the first two live inside GF(q^2), the third
     outside), so the precedence is cosmetic.
     """
+    return _classify_with_chain(field, b)[0]
+
+
+def _classify_with_chain(
+    field: Field, b: Element
+) -> Tuple[Classification, Optional[GenericIntermediates]]:
+    """``classify`` plus the generic chain it ran (None for b in GF(q^2)).
+
+    Callers that go on to build the solution set pass the chain to
+    ``_solution_set``, so the chain runs once per b.
+    """
     q = field.q
     if not 0 <= b < (1 << field.degree):
         raise PreconditionViolated(
             f"b = {b:#x} is outside the field of degree {field.degree}"
         )
     if b == 1:
-        return Classification(CASE_B_EQUALS_ONE, q**2)
+        return Classification(CASE_B_EQUALS_ONE, q**2), None
     if b != 0 and field.pow(b, q + 1) == 1:
-        return Classification(CASE_MU, q**2 - q)
-    if is_in_s2(field, b):
-        return Classification(CASE_GENERIC_TWO, 2)
-    return Classification(CASE_NO_SOLUTION, 0)
+        return Classification(CASE_MU, q**2 - q), None
+    if field.in_subfield(b, 2 * field.n):
+        return Classification(CASE_NO_SOLUTION, 0), None
+    chain = generic_intermediates(field, b)
+    if chain.failure is None:
+        return Classification(CASE_GENERIC_TWO, 2), chain
+    return Classification(CASE_NO_SOLUTION, 0), chain
 
 
-def solve(field: Field, b: Element) -> Tuple[Classification, SolutionSet]:
-    """Classification and complete solution set of x^d + (x+1)^d = b.
+def _solution_set(
+    field: Field,
+    b: Element,
+    classification: Classification,
+    chain: Optional[GenericIntermediates],
+) -> SolutionSet:
+    """The solution set for a result of ``_classify_with_chain``.
 
-    Dispatches on ``classify`` and asserts that the constructed set has
-    exactly the predicted cardinality.
+    Raises InternalDegenerate unless the set has exactly the predicted
+    cardinality.
     """
-    classification = classify(field, b)
     case = classification.case
     if case == CASE_B_EQUALS_ONE:
         solutions = solve_b_equals_1(field)
     elif case == CASE_MU:
         solutions = solve_mu_case(field, b)
     elif case == CASE_GENERIC_TWO:
-        solutions = solve_generic(field, b)
+        solutions = SolutionSet.explicit(field, chain.solutions)
     else:
         solutions = SolutionSet.empty(field)
     if len(solutions) != classification.predicted_count:
@@ -495,4 +495,15 @@ def solve(field: Field, b: Element) -> Tuple[Classification, SolutionSet]:
             f"case {case} predicted {classification.predicted_count} roots "
             f"but the construction produced {len(solutions)}"
         )
-    return classification, solutions
+    return solutions
+
+
+def solve(field: Field, b: Element) -> Tuple[Classification, SolutionSet]:
+    """Classification and complete solution set of x^d + (x+1)^d = b.
+
+    The generic chain runs once: the classification and the two generic
+    roots both come from it.  Asserts that the constructed set has
+    exactly the predicted cardinality.
+    """
+    classification, chain = _classify_with_chain(field, b)
+    return classification, _solution_set(field, b, classification, chain)

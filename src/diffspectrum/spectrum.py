@@ -32,8 +32,9 @@ from .errors import (
 from .field import Element, Field
 from .solver import (
     CASE_GENERIC_TWO,
+    _classify_with_chain,
+    _solution_set,
     classify,
-    solve,
     verify_solution,
 )
 
@@ -398,19 +399,21 @@ class VerificationReport:
         return json.dumps(self.as_dict(include_timings=include_timings), indent=2)
 
 
-def _check_range(
-    field: Field, counts: np.ndarray, bounds: Tuple[int, int]
+def _check_all(
+    field: Field, counts: np.ndarray
 ) -> Tuple[Dict[str, List[dict]], int]:
-    """Classify, solve, and re-verify every b in [lo, hi) against the tally."""
-    lo, hi = bounds
+    """Classify, solve, and re-verify every b against the tally.
+
+    One chain run per b serves both the prediction and the solution set.
+    """
     mismatches: Dict[str, List[dict]] = {}
     s2_seen = 0
 
     def record(tag: str, row: dict) -> None:
         mismatches.setdefault(tag, []).append(row)
 
-    for b in range(lo, hi):
-        classification = classify(field, b)
+    for b in range(1 << field.degree):
+        classification, chain = _classify_with_chain(field, b)
         if classification.case == CASE_GENERIC_TWO:
             s2_seen += 1
         actual = int(counts[b])
@@ -425,7 +428,7 @@ def _check_range(
             )
             continue
         try:
-            _, solutions = solve(field, b)
+            solutions = _solution_set(field, b, classification, chain)
         except InternalDegenerate as exc:
             record(
                 classification.case,
@@ -455,11 +458,11 @@ def verify_conjecture(field: Field, workers: int = 1) -> VerificationReport:
 
     Four phases: the vectorised tally, the closed-form histogram, a per-b
     classify/solve/re-verify pass, and the two-solution-family count
-    comparison.  Chunk results merge in index order, so the report is
-    independent of the worker count.
+    comparison.  ``workers`` splits only the tally, whose chunks merge in
+    index order, so the report is independent of the worker count; the
+    per-b pass is pure Python and runs serially.
     """
     _require_within_cap(field, "exhaustive verification")
-    size = 1 << field.degree
     elapsed: Dict[str, float] = {}
 
     start = time.perf_counter()
@@ -473,20 +476,7 @@ def verify_conjecture(field: Field, workers: int = 1) -> VerificationReport:
 
     start = time.perf_counter()
     field.ensure_tables()
-    ranges = _chunk_ranges(size, workers)
-    if workers <= 1:
-        partials = [_check_range(field, counts, ranges[0])]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(lambda bounds: _check_range(field, counts, bounds), ranges)
-            )
-    mismatches: Dict[str, List[dict]] = {}
-    s2_enumerated = 0
-    for part, s2_part in partials:
-        s2_enumerated += s2_part
-        for tag, rows in part.items():
-            mismatches.setdefault(tag, []).extend(rows)
+    mismatches, s2_enumerated = _check_all(field, counts)
     elapsed["per_b_check"] = time.perf_counter() - start
 
     q = field.q

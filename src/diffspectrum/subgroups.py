@@ -69,10 +69,8 @@ def solve_artin_schreier(field: Field, w: int, k: int) -> QuadraticRoots:
     """Roots in GF(2^k) of y^2 + y = w, for w in GF(2^k) with k | 4n.
 
     Solvable iff the absolute trace of w vanishes, in which case the two
-    roots differ by 1.  Odd k uses the half-trace; even k uses the weighted
-    sum over a fixed trace-1 element theta:
-
-        y = sum_{i=0}^{k-2} (theta^(2^(i+1)) + ... + theta^(2^(k-1))) * w^(2^i)
+    roots differ by 1.  The root y is _artin_schreier_root(w), which is
+    GF(2)-linear in w, so it is read from a table built once per k.
     """
     if k < 1 or field.degree % k:
         raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{field.degree})")
@@ -80,29 +78,45 @@ def solve_artin_schreier(field: Field, w: int, k: int) -> QuadraticRoots:
         raise NotInSubfield(f"{w:#x} is not in GF(2^{k})")
     if field.trace_rel(w, 1, k) != 0:
         return QuadraticRoots(())
+    y = field.apply_linear(
+        ("artin_schreier", k), lambda x: _artin_schreier_root(field, x, k), w)
+    assert field.square(y) ^ y == w
+    return QuadraticRoots(tuple(sorted((y, y ^ 1))))
+
+
+def _artin_schreier_root(field: Field, w: int, k: int) -> int:
+    """A root of y^2 + y = w when w in GF(2^k) has absolute trace 0.
+
+    Odd k uses the half-trace; even k uses the weighted sum over a fixed
+    trace-1 element theta:
+
+        y = sum_{i=0}^{k-2} (theta^(2^(i+1)) + ... + theta^(2^(k-1))) * w^(2^i)
+
+    Both formulas are sums of constants times Frobenius powers of w, so
+    they are GF(2)-linear and evaluate for every field element w.
+    """
     if k % 2:
         # half-trace: w + w^4 + w^16 + ... ((k+1)/2 terms)
         y = cur = w
         for _ in range(k // 2):
             cur = field.frobenius2(cur, 2)
             y ^= cur
-    else:
-        theta = field.trace_one_element(k)
-        powers = [theta]
-        for _ in range(k - 1):
-            powers.append(field.square(powers[-1]))
-        suffix = 0  # sum of theta^(2^j) for j > i
-        y = 0
-        wi = w
-        coeffs = []
-        for i in range(k - 1):
-            coeffs.append(wi)
-            wi = field.square(wi)
-        for i in range(k - 2, -1, -1):
-            suffix ^= powers[i + 1]
-            y ^= field.mul(suffix, coeffs[i])
-    assert field.square(y) ^ y == w
-    return QuadraticRoots(tuple(sorted((y, y ^ 1))))
+        return y
+    theta = field.trace_one_element(k)
+    powers = [theta]
+    for _ in range(k - 1):
+        powers.append(field.square(powers[-1]))
+    suffix = 0  # sum of theta^(2^j) for j > i
+    y = 0
+    wi = w
+    coeffs = []
+    for i in range(k - 1):
+        coeffs.append(wi)
+        wi = field.square(wi)
+    for i in range(k - 2, -1, -1):
+        suffix ^= powers[i + 1]
+        y ^= field.mul(suffix, coeffs[i])
+    return y
 
 
 def solve_quadratic(field: Field, u: int, v: int, k: int) -> QuadraticRoots:

@@ -1,7 +1,10 @@
 """Shared fixtures: one field per n, with the log tables prebuilt."""
 
+from collections import Counter
+
 import pytest
 
+from diffspectrum import solver
 from diffspectrum.field import Field
 
 
@@ -29,3 +32,17 @@ def f3() -> Field:
 @pytest.fixture(scope="session")
 def fields(f1, f2, f3) -> dict[int, Field]:
     return {1: f1, 2: f2, 3: f3}
+
+
+@pytest.fixture
+def chain_runs(monkeypatch) -> Counter:
+    """Runs of the generic chain per b, counted while the test runs."""
+    runs = Counter()
+    original = solver.generic_intermediates
+
+    def counted(field, b):
+        runs[b] += 1
+        return original(field, b)
+
+    monkeypatch.setattr(solver, "generic_intermediates", counted)
+    return runs

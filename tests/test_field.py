@@ -268,6 +268,20 @@ class TestTraceNorm:
         with pytest.raises(NotInSubfield):
             f2.norm_rel(outsider, f2.n, 2 * f2.n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_table_trace_matches_defining_sum_exhaustive(self, fields, n):
+        # trace_rel reads a table of basis images; the reference is the sum
+        # of Frobenius powers it was built from, over every tower l | k | 4n
+        field = fields[n]
+        divisors = [k for k in range(1, field.degree + 1) if field.degree % k == 0]
+        for k in divisors:
+            for l in (l for l in divisors if k % l == 0):
+                for a in field.iter_subfield(k):
+                    expected = 0
+                    for i in range(k // l):
+                        expected ^= field.pow(a, 1 << (l * i))
+                    assert field.trace_rel(a, l, k) == expected
+
     def test_trace_rejects_bad_tower(self, f2):
         with pytest.raises(ValueError):
             f2.trace_rel(1, 3, 8)  # 3 does not divide 8
@@ -319,6 +333,21 @@ class TestSubfields:
             theta = f2.trace_one_element(k)
             assert f2.in_subfield(theta, k)
             assert f2.trace_rel(theta, 1, k) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_trace_one_element_matches_full_scan(self, fields, n):
+        # reference: the smallest u of absolute trace 1 by scanning every u
+        field = fields[n]
+        u = 0
+        while field.trace_rel(u, 1, field.degree) != 1:
+            u += 1
+        for k in (k for k in range(1, field.degree + 1) if field.degree % k == 0):
+            assert field.trace_one_element(k) == field.trace_rel(u, k, field.degree)
+
+    def test_trace_one_element_pinned_at_n4(self):
+        field = Field(4)
+        pinned = {1: 1, 2: 1842, 4: 42885, 8: 22027, 16: 2048}
+        assert {k: field.trace_one_element(k) for k in pinned} == pinned
 
 
 class TestHexCodec:

@@ -1,9 +1,14 @@
 """Classification and constructive solving, cross-checked against scans."""
 
+import random
+import time
+from collections import Counter
+
 import pytest
 
 import oracle_naive
 from diffspectrum.errors import InternalDegenerate, PreconditionViolated
+from diffspectrum.field import Field
 from diffspectrum.solver import (
     CASE_B_EQUALS_ONE,
     CASE_GENERIC_TWO,
@@ -311,6 +316,43 @@ class TestSolveDispatch:
             if solutions.variant == "explicit":
                 members = set(solutions)
                 assert {x ^ 1 for x in members} == members
+
+    @pytest.mark.parametrize("entry", [classify, solve])
+    def test_chain_runs_once_per_call(self, f2, chain_runs, entry):
+        outside = [b for b in range(1 << f2.degree) if not f2.in_subfield(b, 2 * f2.n)]
+        for b in range(1 << f2.degree):
+            entry(f2, b)
+        assert chain_runs == Counter(outside)
+
+
+# Sampled right-hand sides per field, and the wall-clock budget for all of
+# them at one n.  The whole n = 15 pass, first-call tables included, takes
+# about a second on a 2-core x86 VM; the budget catches a return to
+# field-sized scans, which take minutes from n = 6 on.
+BEYOND_CAP_SAMPLES = 12
+BEYOND_CAP_BUDGET_S = 30.0
+
+
+class TestBeyondSweepCap:
+    """Fields the exhaustive verifier cannot sweep, checked by sampling.
+
+    Every b = x^d + (x+1)^d has the root x, so its case cannot be
+    NO_SOLUTION, and a two-solution b must list x among its roots.
+    """
+
+    @pytest.mark.parametrize("n", [5, 6, 8, 15])
+    def test_sampled_b_keep_their_root(self, n):
+        field = Field(n)
+        rng = random.Random(f"beyond-cap:{n}")
+        start = time.perf_counter()
+        for _ in range(BEYOND_CAP_SAMPLES):
+            x = rng.randrange(field.size)
+            b = field.pow(x, field.d) ^ field.pow(x ^ 1, field.d)
+            classification = classify(field, b)
+            assert classification.case != CASE_NO_SOLUTION
+            if classification.case == CASE_GENERIC_TWO:
+                assert x in solve(field, b)[1]
+        assert time.perf_counter() - start < BEYOND_CAP_BUDGET_S
 
 
 class TestSolutionSet:

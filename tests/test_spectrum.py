@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -297,6 +298,12 @@ class TestVerifyConjecture:
         first = verify_conjecture(f2, workers=1).to_json()
         second = verify_conjecture(f2, workers=4).to_json()
         assert first == second
+
+    def test_chain_runs_once_per_b_outside_gf_q2(self, f2, chain_runs):
+        assert verify_conjecture(f2).passed
+        outside = [b for b in range(1 << f2.degree) if not f2.in_subfield(b, 2 * f2.n)]
+        assert len(outside) == 240
+        assert chain_runs == Counter(outside)
 
     def test_alternate_modulus_passes(self):
         field = Field(2, modulus=0x11D)

@@ -144,6 +144,20 @@ class TestArtinSchreier:
         with pytest.raises(NotInSubfield):
             solve_artin_schreier(f2, outsider, 2 * f2.n)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_table_roots_match_inverse_image_exhaustive(self, fields, n):
+        # y^2 + y = w has the root pair {y, y + 1} or none, so every formula
+        # gives the same sorted pair; the reference inverts y -> y^2 + y over
+        # all of GF(2^k), for every k | 4n
+        field = fields[n]
+        for k in (k for k in range(1, field.degree + 1) if field.degree % k == 0):
+            preimages = {}
+            for y in field.iter_subfield(k):
+                preimages.setdefault(field.square(y) ^ y, []).append(y)
+            for w in field.iter_subfield(k):
+                expected = tuple(sorted(preimages.get(w, ())))
+                assert solve_artin_schreier(field, w, k).roots == expected
+
 
 class TestSolveQuadratic:
     def test_degenerate_u_zero(self, f1):
