@@ -22,7 +22,7 @@ from .errors import (
     ReducibleModulus,
     ZeroElement,
 )
-from .field import Element, Field, default_modulus, is_irreducible, make_field
+from .field import Element, Field, default_modulus, is_irreducible
 from .solver import (
     CASE_B_EQUALS_ONE,
     CASE_GENERIC_TWO,
@@ -109,7 +109,6 @@ __all__ = [
     "is_in_s2",
     "is_irreducible",
     "iter_mu_witnesses",
-    "make_field",
     "mu_member",
     "s2_enumerate",
     "s2_members",

@@ -9,6 +9,14 @@ every derived constant the rest of the library needs:
     d           = q^3 + q^2 + q - 1   (the exponent under study)
     group_order = q^4 - 1             = (q-1)(q+1)(q^2+1)
 
+mul, inv and pow take one of two paths.  After ensure_tables() on a field
+of degree <= TABLE_FAST_PATH_BITS they index discrete-log tables.  Otherwise
+mul is a schoolbook shift-and-reduce, inv is extended Euclid, and pow(a, e)
+multiplies the Frobenius images a^(2^i) over the set bits i of e.  Each
+image is one lookup per byte of a in a GF(2)-linear table (apply_linear):
+ceil(4n/8) byte tables of up to 256 entries for each bit i, built once per
+field when a bit >= i is first used.
+
 Fields are immutable after construction apart from internal memo tables,
 so instances are safe to share between concurrent workers.
 """
@@ -17,6 +25,7 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from typing import Callable, Hashable, Iterator
 
 from .errors import (
@@ -33,8 +42,10 @@ Element = int
 # Degree cap: keeps q^4 - 1 within 64 bits so encodings stay portable.
 MAX_N = 15
 
-# mul/pow/inv consult log tables only up to this field degree; beyond it the
-# schoolbook routines are used even when tables were built for a sweep.
+# After ensure_tables(), mul/pow/inv index the log tables up to this field
+# degree.  Beyond it, and before ensure_tables(), mul and inv are schoolbook
+# and pow multiplies Frobenius table lookups (up to ceil(4n/8) * 256 entries
+# per exponent bit used), even when log tables were built for a sweep.
 TABLE_FAST_PATH_BITS = 20
 
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+\Z")
@@ -101,11 +112,13 @@ def default_modulus(degree: int) -> int:
     raise ValueError(f"no irreducible polynomial of degree {degree}")  # pragma: no cover
 
 
-def _byte_tables(images: list[int]) -> tuple[list[int], ...]:
+def _byte_tables(images: list[int]) -> tuple[array, ...]:
     """Byte-sliced lookup tables of the GF(2)-linear map with images[j] = L(X^j).
 
     Table i maps every value v of input bits 8i..8i+7 to the XOR of the
     images of its set bits, so L(a) is the XOR of one lookup per byte of a.
+    The tables are arrays of 64-bit words, 8 bytes an entry, where a list
+    would hold a pointer and an int object for each.
     """
     tables = []
     for lo in range(0, len(images), 8):
@@ -114,7 +127,7 @@ def _byte_tables(images: list[int]) -> tuple[list[int], ...]:
         for v in range(1, len(table)):
             low = v & -v
             table[v] = table[v ^ low] ^ chunk[low.bit_length() - 1]
-        tables.append(table)
+        tables.append(array("Q", table))
     return tuple(tables)
 
 
@@ -190,7 +203,7 @@ class Field:
         self._primitive: int | None = None
         self._subfield_bases: dict[int, tuple[int, ...]] = {}
         self._trace_one: dict[int, int] = {}
-        self._linear_maps: dict[Hashable, tuple[list[int], ...]] = {}
+        self._linear_maps: dict[Hashable, tuple[array, ...]] = {}
 
     def __repr__(self) -> str:
         return f"Field(n={self.n}, modulus={self.modulus:#x})"
@@ -258,7 +271,9 @@ class Field:
         """a raised to the integer exponent e.
 
         Negative exponents are accepted for nonzero bases; the exponent is
-        reduced modulo q^4 - 1 before the square-and-multiply ladder runs.
+        reduced modulo q^4 - 1 first.  Without log tables the power is the
+        product of a^(2^i) over the set bits i of e, each factor one
+        Frobenius table lookup, so a power 2^i is a single lookup.
         """
         if a == 0:
             if e < 0:
@@ -268,13 +283,28 @@ class Field:
         if self._fast_tables:
             exp, log = self._tables
             return exp[log[a] * e % self.group_order]
-        r = 1
+        r, i = 1, 0
         while e:
             if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
+                r = self._mul_schoolbook(self._frobenius_bit(a, i), r)
             e >>= 1
+            i += 1
         return r
+
+    def _frobenius_bit(self, a: int, i: int) -> int:
+        """a^(2^i) for 0 <= i < degree, from the table keyed ("frob", i).
+
+        Table i squares the images of table i - 1, so building it never
+        goes through pow.
+        """
+        if i == 0:
+            return a
+
+        def image(x: int) -> int:
+            y = self._frobenius_bit(x, i - 1)
+            return self._mul_schoolbook(y, y)
+
+        return self.apply_linear(("frob", i), image, a)
 
     def sqrt(self, a: int) -> int:
         """The unique square root: squaring is a bijection in characteristic 2."""
@@ -485,8 +515,3 @@ class Field:
     def ensure_tables(self) -> None:
         """Build the discrete-log tables now (idempotent)."""
         self.discrete_logs()
-
-
-def make_field(n: int, modulus: int | None = None) -> Field:
-    """Construct GF(2^(4n)); see Field for the modulus convention."""
-    return Field(n, modulus)

@@ -151,7 +151,9 @@ def _power_map(field: Field, exponent: int) -> np.ndarray:
     exp = _exp_array(field)
     table = np.zeros(1 << field.degree, dtype=np.uint32)
     indices = np.arange(order, dtype=np.int64)
-    table[exp] = exp[(exponent % order) * indices % order]
+    indices *= exponent % order
+    indices %= order
+    table[exp] = exp[indices]
     return table
 
 
@@ -160,21 +162,21 @@ def _chunk_ranges(total: int, workers: int) -> List[Tuple[int, int]]:
     return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
 
 
-def bruteforce_counts(field: Field, workers: int = 1) -> np.ndarray:
-    """Per-b solution tally of x^d + (x+1)^d = b over the whole field.
+def _derivative_tally(field: Field, a: Element, workers: int) -> np.ndarray:
+    """Per-b solution tally of x^d + (x+a)^d = b over the whole field.
 
-    Returns an integer array of length 2^(4n) indexed by b.  The tally is
-    a sum of per-chunk bincounts, so the result is identical for every
-    worker count.
+    The tally is a sum of per-chunk bincounts, so the result is identical
+    for every worker count.
     """
-    _require_within_cap(field, "exhaustive tally")
     size = 1 << field.degree
     power = _power_map(field, field.d)
 
     def tally(bounds: Tuple[int, int]) -> np.ndarray:
         lo, hi = bounds
-        xs = np.arange(lo, hi, dtype=np.int64)
-        values = power[xs] ^ power[xs ^ 1]
+        shifted = np.arange(lo, hi, dtype=np.int64)
+        shifted ^= a
+        values = power[shifted]
+        values ^= power[lo:hi]
         return np.bincount(values, minlength=size)
 
     if workers <= 1:
@@ -182,6 +184,16 @@ def bruteforce_counts(field: Field, workers: int = 1) -> np.ndarray:
     with ThreadPoolExecutor(max_workers=workers) as pool:
         parts = list(pool.map(tally, _chunk_ranges(size, workers)))
     return np.sum(parts, axis=0)
+
+
+def bruteforce_counts(field: Field, workers: int = 1) -> np.ndarray:
+    """Per-b solution tally of x^d + (x+1)^d = b over the whole field.
+
+    Returns an integer array of length 2^(4n) indexed by b, identical for
+    every worker count.
+    """
+    _require_within_cap(field, "exhaustive tally")
+    return _derivative_tally(field, 1, workers)
 
 
 # ---------------------------------------------------------------------
@@ -318,22 +330,10 @@ def ddt_row(
     if method not in (METHOD_FORMULA, METHOD_BRUTEFORCE):
         raise OutOfRange(f"unknown ddt_row method {method!r}")
     _require_within_cap(field, "differential-table row")
-    size = 1 << field.degree
     if method == METHOD_BRUTEFORCE:
-        power = _power_map(field, field.d)
+        return _derivative_tally(field, a, workers)
 
-        def tally(bounds: Tuple[int, int]) -> np.ndarray:
-            lo, hi = bounds
-            xs = np.arange(lo, hi, dtype=np.int64)
-            values = power[xs] ^ power[xs ^ a]
-            return np.bincount(values, minlength=size)
-
-        if workers <= 1:
-            return tally((0, size))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(tally, _chunk_ranges(size, workers)))
-        return np.sum(parts, axis=0)
-
+    size = 1 << field.degree
     row_one = np.zeros(size, dtype=np.int64)
     for b in range(size):
         row_one[b] = classify(field, b).predicted_count

@@ -13,7 +13,7 @@ from diffspectrum.errors import (
     OutOfRange,
     ReducibleModulus,
 )
-from diffspectrum.field import Field, default_modulus, is_irreducible, make_field
+from diffspectrum.field import Field, default_modulus, is_irreducible
 
 # Smallest irreducible polynomial per degree, frozen from the
 # trial-division scan in oracle_naive (re-derived below as a cross-check).
@@ -25,6 +25,15 @@ EXPECTED_MODULI = {
     20: 0x100009,
     24: 0x100001B,
 }
+
+
+def _pow_exponents(field: Field) -> list[int]:
+    """Exponents on which pow's two paths must agree: the edges 0, 1, -1 and
+    the group order, every Frobenius power 2^j, q -+ 1, d and the CRT
+    projections onto the three unity subgroups."""
+    return [0, 1, -1, *(1 << j for j in range(field.degree + 1)),
+            field.q - 1, field.q + 1, field.d, field.group_order,
+            *field.crt_exponents]
 
 
 class TestModuli:
@@ -47,7 +56,7 @@ class TestModuli:
 
 class TestConstruction:
     def test_n1_defaults(self):
-        field = make_field(1)
+        field = Field(1)
         assert field.modulus == 0x13
         assert field.q == 2
         assert field.d == 13
@@ -55,7 +64,7 @@ class TestConstruction:
         assert field.group_order == 15
 
     def test_n2_derived_integers(self):
-        field = make_field(2)
+        field = Field(2)
         assert field.q == 4
         assert field.d == 83
         assert field.group_order == 255
@@ -167,9 +176,25 @@ class TestRingAxioms:
         for a in range(1 << 8):
             for b in range(0, 1 << 8, 7):
                 assert fast.mul(a, b) == plain.mul(a, b)
+        exponents = _pow_exponents(plain)
         for a in range(1, 1 << 8):
             assert fast.inv(a) == plain.inv(a)
-            assert fast.pow(a, 83) == plain.pow(a, 83)
+            for e in exponents:
+                assert fast.pow(a, e) == plain.pow(a, e)
+
+    @pytest.mark.parametrize("n,samples", [(1, None), (2, None), (3, 64), (6, 32), (15, 16)])
+    def test_schoolbook_pow_agrees_with_naive_oracle(self, n, samples):
+        field = Field(n)  # no log tables: pow multiplies Frobenius table lookups
+        if samples is None:
+            bases = range(1, field.size)
+        else:
+            rng = random.Random(42)
+            bases = [rng.randrange(1, field.size) for _ in range(samples)]
+        for e in _pow_exponents(field):
+            for a in bases:
+                expected = oracle_naive.field_pow(field.modulus, a, e % field.group_order)
+                assert field.pow(a, e) == expected, (a, e)
+        assert not field._fast_tables
 
 
 class TestSqrtFrobenius:

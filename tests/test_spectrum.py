@@ -246,7 +246,9 @@ class TestDdtRow:
         for a in (1, 2, 3, (1 << field.degree) - 1):
             formula = ddt_row(field, a, method=METHOD_FORMULA)
             brute = ddt_row(field, a, method=METHOD_BRUTEFORCE)
+            chunked = ddt_row(field, a, method=METHOD_BRUTEFORCE, workers=3)
             assert np.array_equal(formula, brute)
+            assert np.array_equal(chunked, brute)
 
     def test_rows_are_relabelings(self, f2):
         # Changing direction permutes the output labels; the multiset of
