@@ -20,7 +20,7 @@ from diffspectrum import (
 # --- closed form vs exhaustive sweep, at every sweepable size ----------
 for n in (1, 2, 3, 4):
     predicted = formula_histogram(n)
-    swept = bruteforce_histogram(Field(n), workers=4)
+    swept = bruteforce_histogram(Field(n))
     marker = "==" if predicted.entries == swept.entries else "!="
     print(f"n={n}: formula {predicted.to_text()} {marker} sweep {swept.to_text()}")
 print()

@@ -13,7 +13,7 @@ from diffspectrum import Field, verify_conjecture
 # --- the default moduli, n = 1..3 ---------------------------------------
 for n in (1, 2, 3):
     field = Field(n)
-    report = verify_conjecture(field, workers=4)
+    report = verify_conjecture(field)
     total = sum(report.elapsed.values())
     print(f"n={n} (modulus {field.modulus:#x}): "
           f"pass={report.passed}  "

@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--modulus", help="irreducible modulus of degree 4n as hex (default: smallest)")
         p.add_argument("--format", choices=[FORMAT_TEXT, FORMAT_JSON, FORMAT_CSV], default=FORMAT_TEXT, help="output format")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--workers", type=int, default=1, help="worker count for exhaustive passes")
+        p.add_argument("--workers", type=int, default=1, help="accepted, no effect: each sweep is one vectorised pass")
 
     p_classify = sub.add_parser("classify", help="classify b and predict its solution count")
     add_common(p_classify)

@@ -9,16 +9,17 @@ every derived constant the rest of the library needs:
     d           = q^3 + q^2 + q - 1   (the exponent under study)
     group_order = q^4 - 1             = (q-1)(q+1)(q^2+1)
 
-mul, inv and pow take one of two paths.  After ensure_tables() on a field
-of degree <= TABLE_FAST_PATH_BITS they index discrete-log tables.  Otherwise
-mul is a schoolbook shift-and-reduce, inv is extended Euclid, and pow(a, e)
-multiplies the Frobenius images a^(2^i) over the set bits i of e.  Each
-image is one lookup per byte of a in a GF(2)-linear table (apply_linear):
-ceil(4n/8) byte tables of up to 256 entries for each bit i, built once per
-field when a bit >= i is first used.
+exp_table() is the one table of powers g^i of the primitive element g: a
+numpy array built once per field, which the exhaustive sweeps index
+directly.  mul, inv and pow take one of two paths.  After ensure_tables()
+on a field of degree <= TABLE_FAST_PATH_BITS they index discrete-log lists
+derived from that table.  Otherwise mul is a schoolbook shift-and-reduce,
+inv is extended Euclid, and pow(a, e) multiplies the Frobenius images
+a^(2^i) over the set bits i of e.  Each image is one lookup per byte of a
+in a GF(2)-linear table (apply_linear): ceil(4n/8) byte tables of up to 256
+entries for each bit i, built once per field when a bit >= i is first used.
 
-Fields are immutable after construction apart from internal memo tables,
-so instances are safe to share between concurrent workers.
+Fields are immutable after construction apart from internal memo tables.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ from __future__ import annotations
 import math
 import re
 from array import array
+from functools import partial
 from typing import Callable, Hashable, Iterator
+
+import numpy as np
 
 from .errors import (
     DegreeMismatch,
@@ -43,10 +47,15 @@ Element = int
 MAX_N = 15
 
 # After ensure_tables(), mul/pow/inv index the log tables up to this field
-# degree.  Beyond it, and before ensure_tables(), mul and inv are schoolbook
-# and pow multiplies Frobenius table lookups (up to ceil(4n/8) * 256 entries
-# per exponent bit used), even when log tables were built for a sweep.
+# degree.  Beyond it ensure_tables() does nothing, since two Python lists of
+# 2^24 ints take seconds and over a gigabyte to build; there, and before
+# ensure_tables(), mul and inv are schoolbook and pow multiplies Frobenius
+# table lookups (up to ceil(4n/8) * 256 entries per exponent bit used).
 TABLE_FAST_PATH_BITS = 20
+
+# exp_table() fills its q^2 x q^2 view _EXP_CHUNK entries at a time, so the
+# temporaries of each step stay small enough for the caches.
+_EXP_CHUNK = 1 << 16
 
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+\Z")
 
@@ -112,23 +121,49 @@ def default_modulus(degree: int) -> int:
     raise ValueError(f"no irreducible polynomial of degree {degree}")  # pragma: no cover
 
 
-def _byte_tables(images: list[int]) -> tuple[array, ...]:
+def _byte_tables(images: list, pack: Callable = partial(array, "Q")) -> tuple:
     """Byte-sliced lookup tables of the GF(2)-linear map with images[j] = L(X^j).
 
     Table i maps every value v of input bits 8i..8i+7 to the XOR of the
     images of its set bits, so L(a) is the XOR of one lookup per byte of a.
-    The tables are arrays of 64-bit words, 8 bytes an entry, where a list
-    would hold a pointer and an int object for each.
+    Int images are packed by default into arrays of 64-bit words, 8 bytes
+    an entry, where a list would hold a pointer and an int object for each;
+    numpy images of one shape are packed by np.array, one image per entry.
     """
     tables = []
     for lo in range(0, len(images), 8):
         chunk = images[lo:lo + 8]
-        table = [0] * (1 << len(chunk))
+        table = [chunk[0] & 0] * (1 << len(chunk))
         for v in range(1, len(table)):
             low = v & -v
             table[v] = table[v ^ low] ^ chunk[low.bit_length() - 1]
-        tables.append(array("Q", table))
+        tables.append(pack(table))
     return tuple(tables)
+
+
+def _byte_product_tables(row: np.ndarray, field: Field) -> tuple[np.ndarray, ...]:
+    """_byte_tables of c -> c * row, which is GF(2)-linear in c: entry v of
+    table k is the uint32 row (v << 8k) * row.  The images X^j * row come
+    from repeated multiplication by X."""
+    m = field.degree
+    cur, images = row.astype(np.int64), []
+    for _ in range(m):
+        images.append(cur.astype(np.uint32))
+        cur = (cur << 1) ^ (cur >> (m - 1)) * field.modulus
+    return _byte_tables(images, np.array)
+
+
+def _byte_products(tables: tuple[np.ndarray, ...], values: np.ndarray) -> np.ndarray:
+    """c * row for every c in values, from tables = _byte_product_tables(row)."""
+    out = tables[0][values & 0xFF]
+    for k in range(1, len(tables)):
+        out ^= tables[k][(values >> (8 * k)) & 0xFF]
+    return out
+
+
+def _vec_mul_const(arr: np.ndarray, c: int, field: Field) -> np.ndarray:
+    """Multiply every entry of the uint32 array arr by the constant c."""
+    return _byte_products(_byte_product_tables(np.asarray(c), field), arr)
 
 
 def _prime_factors(x: int) -> list[int]:
@@ -198,6 +233,7 @@ class Field:
             exps.append(rest * pow(rest, -1, m_i) % self.group_order)
         self.crt_exponents = tuple(exps)
 
+        self._exp: np.ndarray | None = None
         self._tables: tuple[list[int], list[int]] | None = None
         self._fast_tables = False
         self._primitive: int | None = None
@@ -489,29 +525,52 @@ class Field:
             self._primitive = g
         return self._primitive
 
-    def discrete_logs(self) -> tuple[list[int], list[int]]:
-        """(exp, log) tables over a fixed primitive element.
+    def exp_table(self) -> np.ndarray:
+        """Read-only uint32 array of length q^4 - 1 with exp[i] = g^i for
+        the primitive element g; built once per field and shared by every
+        caller.
 
-        exp has length q^4 - 1 with exp[i] = g^i; log is its inverse keyed
-        by element (log[0] is a dead slot).  Built once per field.  Scalar
-        mul/pow/inv switch to the tables only for degrees up to
-        TABLE_FAST_PATH_BITS; the exhaustive sweeps use them directly.
+        Viewed as a q^2 x q^2 array, row j holds g^(q^2 j) times the first
+        row g^0 .. g^(q^2 - 1).  Both vectors take q^2 scalar multiplies;
+        the products are byte-table lookups (_byte_product_tables).
         """
-        if self._tables is None:
-            order = self.group_order
+        if self._exp is None:
             g = self.primitive_element()
-            exp = [1] * order
-            log = [0] * (order + 1)
-            cur = 1
-            for i in range(order):
-                exp[i] = cur
-                log[cur] = i
-                cur = self._mul_schoolbook(cur, g)
-            assert cur == 1
-            self._tables = (exp, log)
-            self._fast_tables = self.degree <= TABLE_FAST_PATH_BITS
-        return self._tables
+            width = self.q * self.q
+            row = self._powers(g, width)
+            col = self._powers(self._mul_schoolbook(int(row[-1]), g), width)  # g^(q^2 j)
+            tables = _byte_product_tables(row, self)
+            exp = np.empty((width, width), dtype=np.uint32)
+            step = max(1, _EXP_CHUNK // width)
+            for lo in range(0, width, step):
+                exp[lo:lo + step] = _byte_products(tables, col[lo:lo + step])
+            exp = exp.reshape(-1)[:self.group_order]
+            exp.flags.writeable = False
+            self._exp = exp
+        return self._exp
+
+    def _powers(self, base: Element, count: int) -> np.ndarray:
+        """uint32 array of base^0 .. base^(count - 1)."""
+        out = np.empty(count, dtype=np.uint32)
+        e = 1
+        for i in range(count):
+            out[i] = e
+            e = self._mul_schoolbook(e, base)
+        return out
 
     def ensure_tables(self) -> None:
-        """Build the discrete-log tables now (idempotent)."""
-        self.discrete_logs()
+        """Switch scalar mul/pow/inv to discrete-log tables (idempotent).
+
+        Only fields of degree <= TABLE_FAST_PATH_BITS switch: their exp and
+        log lists come from exp_table(), log by one scatter (log[0] is a
+        dead slot).  Above that degree the call does nothing.  The tables
+        stay Python lists because indexing numpy scalars is slower and
+        their fixed width overflows in log[a] * e.
+        """
+        if self._fast_tables or self.degree > TABLE_FAST_PATH_BITS:
+            return
+        exp = self.exp_table()
+        log = np.zeros(self.size, dtype=np.int64)
+        log[exp] = np.arange(self.group_order)
+        self._tables = (exp.tolist(), log.tolist())
+        self._fast_tables = True

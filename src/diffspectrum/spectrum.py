@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dataclass_field
 from typing import Dict, Iterator, List, Tuple
 
@@ -29,12 +28,13 @@ from .errors import (
     PreconditionViolated,
     ZeroElement,
 )
-from .field import Element, Field
+from .field import Element, Field, _vec_mul_const
 from .solver import (
     CASE_GENERIC_TWO,
     _classify_with_chain,
     _solution_set,
     classify,
+    is_in_s2,
     verify_solution,
 )
 
@@ -95,61 +95,11 @@ def eval_derivative(field: Field, x: Element) -> Element:
 # Vectorised field sweep.
 # ---------------------------------------------------------------------
 
-_EXP_BLOCK = 1 << 12
-
-
-def _vec_mul_const(arr: np.ndarray, c: int, field: Field) -> np.ndarray:
-    """Carry-less multiply every entry of arr by the constant c, reduced.
-
-    Products of two degree-<m polynomials fit in 2m-1 <= 47 bits, so the
-    accumulation runs in int64; reduction clears the high bits one at a
-    time with the modulus.
-    """
-    m, modulus = field.degree, field.modulus
-    a = arr.astype(np.int64)
-    acc = np.zeros(arr.shape, dtype=np.int64)
-    shift = 0
-    while c:
-        if c & 1:
-            acc ^= a << shift
-        c >>= 1
-        shift += 1
-    for k in range(2 * m - 2, m - 1, -1):
-        acc ^= ((acc >> k) & 1) * (modulus << (k - m))
-    return acc.astype(np.uint32)
-
-
-def _exp_array(field: Field) -> np.ndarray:
-    """numpy exponential table: exp[i] = g^i for the primitive g.
-
-    The first block is filled scalar-by-scalar; every later block is the
-    previous block times g^block, computed vectorised, so the build costs
-    one full-array constant multiply regardless of field size.
-    """
-    order = field.group_order
-    g = field.primitive_element()
-    exp = np.zeros(order, dtype=np.uint32)
-    block = min(order, _EXP_BLOCK)
-    e = 1
-    for i in range(block):
-        exp[i] = e
-        e = field.mul(e, g)
-    g_block = e  # g^block
-    filled = block
-    while filled < order:
-        nxt = min(filled + block, order)
-        exp[filled:nxt] = _vec_mul_const(
-            exp[filled - block : nxt - block], g_block, field
-        )
-        filled = nxt
-    return exp
-
-
 def _power_map(field: Field, exponent: int) -> np.ndarray:
     """Array P with P[x] = x^exponent for every field element x."""
     order = field.group_order
-    exp = _exp_array(field)
-    table = np.zeros(1 << field.degree, dtype=np.uint32)
+    exp = field.exp_table()
+    table = np.zeros(field.size, dtype=np.uint32)
     indices = np.arange(order, dtype=np.int64)
     indices *= exponent % order
     indices %= order
@@ -157,43 +107,30 @@ def _power_map(field: Field, exponent: int) -> np.ndarray:
     return table
 
 
-def _chunk_ranges(total: int, workers: int) -> List[Tuple[int, int]]:
-    step = -(-total // max(1, workers))
-    return [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-
-
-def _derivative_tally(field: Field, a: Element, workers: int) -> np.ndarray:
+def _derivative_tally(field: Field, a: Element) -> np.ndarray:
     """Per-b solution tally of x^d + (x+a)^d = b over the whole field.
 
-    The tally is a sum of per-chunk bincounts, so the result is identical
-    for every worker count.
+    One vectorised pass.  The index and power arrays are released before
+    the bincount allocates its result, which lowers the peak memory.
     """
-    size = 1 << field.degree
     power = _power_map(field, field.d)
-
-    def tally(bounds: Tuple[int, int]) -> np.ndarray:
-        lo, hi = bounds
-        shifted = np.arange(lo, hi, dtype=np.int64)
-        shifted ^= a
-        values = power[shifted]
-        values ^= power[lo:hi]
-        return np.bincount(values, minlength=size)
-
-    if workers <= 1:
-        return tally((0, size))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(tally, _chunk_ranges(size, workers)))
-    return np.sum(parts, axis=0)
+    shifted = np.arange(field.size, dtype=np.int64)
+    shifted ^= a
+    values = power[shifted]
+    del shifted
+    values ^= power
+    del power
+    return np.bincount(values, minlength=field.size)
 
 
 def bruteforce_counts(field: Field, workers: int = 1) -> np.ndarray:
     """Per-b solution tally of x^d + (x+1)^d = b over the whole field.
 
-    Returns an integer array of length 2^(4n) indexed by b, identical for
-    every worker count.
+    Returns an integer array of length 2^(4n) indexed by b.  The tally is
+    one vectorised pass; ``workers`` is accepted and has no effect.
     """
     _require_within_cap(field, "exhaustive tally")
-    return _derivative_tally(field, 1, workers)
+    return _derivative_tally(field, 1)
 
 
 # ---------------------------------------------------------------------
@@ -263,8 +200,9 @@ def _histogram_from_counts(
 
 
 def bruteforce_histogram(field: Field, workers: int = 1) -> SpectrumHistogram:
-    """Histogram of per-b solution counts from the exhaustive sweep."""
-    counts = bruteforce_counts(field, workers=workers)
+    """Histogram of per-b solution counts from the exhaustive sweep;
+    ``workers`` has no effect."""
+    counts = bruteforce_counts(field)
     return _histogram_from_counts(field, counts, METHOD_BRUTEFORCE)
 
 
@@ -295,8 +233,6 @@ def formula_histogram(n: int) -> SpectrumHistogram:
 def s2_members(field: Field) -> Iterator[Element]:
     """Yield every b with exactly two solutions, in ascending order."""
     _require_within_cap(field, "two-solution family enumeration")
-    from .solver import is_in_s2
-
     for b in range(1 << field.degree):
         if is_in_s2(field, b):
             yield b
@@ -322,6 +258,7 @@ def ddt_row(
     b/a^d, so the a-row is the a=1 row relabelled by b -> a^d * b.  The
     formula path classifies every b once and applies the relabelling; the
     bruteforce path tallies the derivative directly.  Both paths agree.
+    ``workers`` has no effect.
     """
     if a == 0:
         raise ZeroElement("differential rows are defined for nonzero a only")
@@ -331,7 +268,7 @@ def ddt_row(
         raise OutOfRange(f"unknown ddt_row method {method!r}")
     _require_within_cap(field, "differential-table row")
     if method == METHOD_BRUTEFORCE:
-        return _derivative_tally(field, a, workers)
+        return _derivative_tally(field, a)
 
     size = 1 << field.degree
     row_one = np.zeros(size, dtype=np.int64)
@@ -458,15 +395,14 @@ def verify_conjecture(field: Field, workers: int = 1) -> VerificationReport:
 
     Four phases: the vectorised tally, the closed-form histogram, a per-b
     classify/solve/re-verify pass, and the two-solution-family count
-    comparison.  ``workers`` splits only the tally, whose chunks merge in
-    index order, so the report is independent of the worker count; the
-    per-b pass is pure Python and runs serially.
+    comparison.  The tally is one vectorised pass and the per-b pass runs
+    serially; ``workers`` is accepted and has no effect.
     """
     _require_within_cap(field, "exhaustive verification")
     elapsed: Dict[str, float] = {}
 
     start = time.perf_counter()
-    counts = bruteforce_counts(field, workers=workers)
+    counts = bruteforce_counts(field)
     brute = _histogram_from_counts(field, counts, METHOD_BRUTEFORCE)
     elapsed["bruteforce"] = time.perf_counter() - start
 

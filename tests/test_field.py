@@ -2,9 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 import oracle_naive
+from diffspectrum import field as field_module
 from diffspectrum.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -13,7 +15,13 @@ from diffspectrum.errors import (
     OutOfRange,
     ReducibleModulus,
 )
-from diffspectrum.field import Field, default_modulus, is_irreducible
+from diffspectrum.field import (
+    TABLE_FAST_PATH_BITS,
+    Field,
+    default_modulus,
+    is_irreducible,
+)
+from diffspectrum.spectrum import bruteforce_counts
 
 # Smallest irreducible polynomial per degree, frozen from the
 # trial-division scan in oracle_naive (re-derived below as a cross-check).
@@ -195,6 +203,57 @@ class TestRingAxioms:
                 expected = oracle_naive.field_pow(field.modulus, a, e % field.group_order)
                 assert field.pow(a, e) == expected, (a, e)
         assert not field._fast_tables
+
+
+class TestExpTable:
+    @pytest.mark.parametrize("n,samples", [(1, None), (2, None), (3, None), (5, 64), (6, 64)])
+    def test_entries_are_powers_of_the_primitive_element(self, n, samples):
+        field = Field(n)
+        exp = field.exp_table()
+        assert exp.dtype == np.uint32 and exp.shape == (field.group_order,)
+        if samples is None:
+            indices = range(field.group_order)
+        else:
+            rng = random.Random(42)
+            indices = [0, 1, field.group_order - 1,
+                       *(rng.randrange(field.group_order) for _ in range(samples))]
+        g = field.primitive_element()
+        for i in indices:
+            assert int(exp[i]) == oracle_naive.field_pow(field.modulus, g, i), i
+        assert field.exp_table() is exp
+
+    def test_ensure_tables_above_fast_path_degree_builds_nothing(self):
+        field = Field(6)
+        assert field.degree > TABLE_FAST_PATH_BITS
+        field.ensure_tables()
+        assert field._tables is None and field._exp is None
+        assert not field._fast_tables
+
+    def test_sweeps_on_one_field_build_the_table_once(self, monkeypatch):
+        builds = []
+        original = field_module._byte_product_tables
+
+        def counted(row, field):
+            builds.append(len(row))
+            return original(row, field)
+
+        monkeypatch.setattr(field_module, "_byte_product_tables", counted)
+        field = Field(4)  # one set of product tables over the q^2 = 256 first powers
+        first = bruteforce_counts(field)
+        assert builds == [256]
+        assert np.array_equal(bruteforce_counts(field), first)
+        assert builds == [256]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_vec_mul_const_matches_schoolbook(self, n):
+        field = Field(n)
+        rng = random.Random(n)
+        values = np.arange(field.size, dtype=np.uint32)
+        for c in [0, 1, field.size - 1, *(rng.randrange(field.size) for _ in range(3))]:
+            products = field_module._vec_mul_const(values, c, field)
+            assert products.dtype == np.uint32
+            for a in range(0, field.size, max(1, field.size >> 8)):
+                assert int(products[a]) == oracle_naive.field_mul(field.modulus, a, c), (a, c)
 
 
 class TestSqrtFrobenius:
