@@ -75,10 +75,15 @@ FAIL_ANSATZ_POLE = "ansatz_pole"
 FAIL_UNVERIFIED = "candidate_fails_equation"
 
 
+def eval_derivative(field: Field, x: Element) -> Element:
+    """x^d + (x+1)^d, the quantity whose level sets the histogram counts."""
+    d = field.d
+    return field.pow(x, d) ^ field.pow(x ^ 1, d)
+
+
 def verify_solution(field: Field, x: Element, b: Element) -> bool:
     """Plug x into x^d + (x+1)^d and compare with b."""
-    d = field.d
-    return field.pow(x, d) ^ field.pow(x ^ 1, d) == b
+    return eval_derivative(field, x) == b
 
 
 @dataclass(frozen=True)
@@ -295,6 +300,13 @@ class GenericIntermediates:
         return tuple(branch.x for branch in self.branches)
 
 
+def _require_element(field: Field, b: Element) -> None:
+    if not 0 <= b < field.size:
+        raise PreconditionViolated(
+            f"b = {b:#x} is outside the field of degree {field.degree}"
+        )
+
+
 def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     """Run the explicit construction for b outside GF(q^2).
 
@@ -319,6 +331,7 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     verified branches) has ``failure is None``.
     """
     n, q = field.n, field.q
+    _require_element(field, b)
     if field.in_subfield(b, 2 * n):
         raise PreconditionViolated(
             f"{field.encode_hex(b)} lies in GF(q^2); the generic construction "
@@ -401,17 +414,9 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
 
 
 def is_in_s2(field: Field, b: Element) -> bool:
-    """Membership test for the two-solution family.
-
-    False for every b in GF(q^2) (those b belong to the other cases);
-    otherwise True exactly when the generic construction completes with
-    two verified roots.  Running the construction is a constant number
-    of field operations, and tying membership to its success keeps the
-    classifier consistent with exhaustive search by construction.
-    """
-    if field.in_subfield(b, 2 * field.n):
-        return False
-    return generic_intermediates(field, b).failure is None
+    """Membership test for the two-solution family: True exactly when
+    ``classify`` assigns b to ``CASE_GENERIC_TWO``."""
+    return _classify_with_chain(field, b)[0].case == CASE_GENERIC_TWO
 
 
 def solve_generic(field: Field, b: Element) -> SolutionSet:
@@ -419,14 +424,12 @@ def solve_generic(field: Field, b: Element) -> SolutionSet:
 
     The two completed branches always emit the complementary pair
     {x, x+1}, which is asserted via the duplicate check in
-    ``SolutionSet.explicit`` plus the count check in ``solve``.
+    ``SolutionSet.explicit`` plus the count check in ``_solution_set``.
     """
-    if field.in_subfield(b, 2 * field.n):
+    classification, chain = _classify_with_chain(field, b)
+    if classification.case != CASE_GENERIC_TWO:
         return SolutionSet.empty(field)
-    chain = generic_intermediates(field, b)
-    if chain.failure is not None:
-        return SolutionSet.empty(field)
-    return SolutionSet.explicit(field, chain.solutions)
+    return _solution_set(field, b, classification, chain)
 
 
 # ---------------------------------------------------------------------
@@ -454,10 +457,7 @@ def _classify_with_chain(
     ``_solution_set``, so the chain runs once per b.
     """
     q = field.q
-    if not 0 <= b < (1 << field.degree):
-        raise PreconditionViolated(
-            f"b = {b:#x} is outside the field of degree {field.degree}"
-        )
+    _require_element(field, b)
     if b == 1:
         return Classification(CASE_B_EQUALS_ONE, q**2), None
     if b != 0 and field.pow(b, q + 1) == 1:

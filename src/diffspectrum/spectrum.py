@@ -6,6 +6,10 @@ histogram, enumeration of the two-solution family, differential-table rows
 for arbitrary nonzero a, and a verifier that cross-checks the constructive
 solver against the oracle element by element.
 
+The enumeration, the formula path of ``ddt_row`` and the verifier share
+one per-b pass, which runs the generic chain once per b and switches the
+caller's field to table arithmetic (``Field.ensure_tables``).
+
 Exhaustive passes are capped at fields of ``DEFAULT_BRUTEFORCE_BITS`` bits
 (override with the ``GF2_MAX_BRUTEFORCE_BITS`` environment variable); the
 closed-form histogram has no cap.
@@ -17,7 +21,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -31,10 +35,11 @@ from .errors import (
 from .field import Element, Field, _vec_mul_const
 from .solver import (
     CASE_GENERIC_TWO,
+    Classification,
+    GenericIntermediates,
     _classify_with_chain,
     _solution_set,
-    classify,
-    is_in_s2,
+    eval_derivative,
     verify_solution,
 )
 
@@ -83,12 +88,6 @@ def _require_within_cap(field: Field, what: str) -> None:
             f"{what} over GF(2^{field.degree}) exceeds the {cap}-bit cap; "
             f"set {ENV_BRUTEFORCE_BITS} to raise it"
         )
-
-
-def eval_derivative(field: Field, x: Element) -> Element:
-    """x^d + (x+1)^d, the quantity whose level sets the histogram counts."""
-    d = field.d
-    return field.pow(x, d) ^ field.pow(x ^ 1, d)
 
 
 # ---------------------------------------------------------------------
@@ -226,20 +225,31 @@ def formula_histogram(n: int) -> SpectrumHistogram:
 
 
 # ---------------------------------------------------------------------
-# Two-solution family enumeration.
+# The per-b classification pass and the two-solution family.
 # ---------------------------------------------------------------------
 
 
+def _classified(
+    field: Field,
+) -> Iterator[Tuple[Element, Classification, Optional[GenericIntermediates]]]:
+    """(b, classification, chain) for every b in ascending order: the one
+    per-b pass, one chain per b on the field switched to table arithmetic."""
+    field.ensure_tables()
+    for b in range(field.size):
+        yield (b, *_classify_with_chain(field, b))
+
+
 def s2_members(field: Field) -> Iterator[Element]:
-    """Yield every b with exactly two solutions, in ascending order."""
+    """Yield every b with exactly two solutions, in ascending order, from
+    the per-b pass (one chain per b; switches ``field`` to tables)."""
     _require_within_cap(field, "two-solution family enumeration")
-    for b in range(1 << field.degree):
-        if is_in_s2(field, b):
+    for b, classification, _ in _classified(field):
+        if classification.case == CASE_GENERIC_TWO:
             yield b
 
 
 def s2_enumerate(field: Field) -> Tuple[int, Tuple[Element, ...]]:
-    """(count, members) of the two-solution family, one full scan."""
+    """(count, members) of the two-solution family, from one per-b pass."""
     members = tuple(s2_members(field))
     return len(members), members
 
@@ -256,9 +266,10 @@ def ddt_row(
 
     The substitution y = x/a turns the equation into y^d + (y+1)^d =
     b/a^d, so the a-row is the a=1 row relabelled by b -> a^d * b.  The
-    formula path classifies every b once and applies the relabelling; the
-    bruteforce path tallies the derivative directly.  Both paths agree.
-    ``workers`` has no effect.
+    formula path runs the per-b classification pass (one chain per b,
+    switching ``field`` to table arithmetic) and applies the relabelling;
+    the bruteforce path tallies the derivative directly.  Both paths
+    agree.  ``workers`` has no effect.
     """
     if a == 0:
         raise ZeroElement("differential rows are defined for nonzero a only")
@@ -272,8 +283,8 @@ def ddt_row(
 
     size = 1 << field.degree
     row_one = np.zeros(size, dtype=np.int64)
-    for b in range(size):
-        row_one[b] = classify(field, b).predicted_count
+    for b, classification, _ in _classified(field):
+        row_one[b] = classification.predicted_count
     scale = field.pow(a, field.d)
     positions = _vec_mul_const(np.arange(size, dtype=np.uint32), scale, field)
     row = np.zeros(size, dtype=np.int64)
@@ -349,8 +360,7 @@ def _check_all(
     def record(tag: str, row: dict) -> None:
         mismatches.setdefault(tag, []).append(row)
 
-    for b in range(1 << field.degree):
-        classification, chain = _classify_with_chain(field, b)
+    for b, classification, chain in _classified(field):
         if classification.case == CASE_GENERIC_TWO:
             s2_seen += 1
         actual = int(counts[b])
@@ -395,8 +405,9 @@ def verify_conjecture(field: Field, workers: int = 1) -> VerificationReport:
 
     Four phases: the vectorised tally, the closed-form histogram, a per-b
     classify/solve/re-verify pass, and the two-solution-family count
-    comparison.  The tally is one vectorised pass and the per-b pass runs
-    serially; ``workers`` is accepted and has no effect.
+    comparison.  The tally is one vectorised pass; the per-b pass runs one
+    chain per b, serially, and switches ``field`` to table arithmetic.
+    ``workers`` is accepted and has no effect.
     """
     _require_within_cap(field, "exhaustive verification")
     elapsed: Dict[str, float] = {}
@@ -411,7 +422,6 @@ def verify_conjecture(field: Field, workers: int = 1) -> VerificationReport:
     elapsed["formula"] = time.perf_counter() - start
 
     start = time.perf_counter()
-    field.ensure_tables()
     mismatches, s2_enumerated = _check_all(field, counts)
     elapsed["per_b_check"] = time.perf_counter() - start
 

@@ -224,6 +224,18 @@ class TestGenericCase:
     def test_solve_generic_returns_empty_inside_gf_q2(self, f2):
         assert len(solve_generic(f2, 1)) == 0
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    @pytest.mark.parametrize(
+        "entry",
+        [is_in_s2, solve_generic, generic_intermediates],
+        ids=lambda entry: entry.__name__,
+    )
+    def test_out_of_range_b_rejected(self, entry, n):
+        field = Field(n)
+        for b in (field.size, field.size + 2, -1):
+            with pytest.raises(PreconditionViolated):
+                entry(field, b)
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_two_verified_solutions_for_every_member(self, fields, n):
         field = fields[n]

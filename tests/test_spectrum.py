@@ -8,6 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from diffspectrum import solver
 from diffspectrum.errors import (
     FieldTooLarge,
     OutOfRange,
@@ -306,6 +307,32 @@ class TestVerifyConjecture:
         outside = [b for b in range(1 << f2.degree) if not f2.in_subfield(b, 2 * f2.n)]
         assert len(outside) == 240
         assert chain_runs == Counter(outside)
+
+    @pytest.mark.parametrize(
+        "whole_field_pass",
+        [
+            s2_enumerate,
+            lambda field: ddt_row(field, 1, method=METHOD_FORMULA),
+            verify_conjecture,
+        ],
+        ids=["s2_enumerate", "ddt_row_formula", "verify_conjecture"],
+    )
+    def test_whole_field_pass_runs_chain_once_per_b_on_tables(
+        self, whole_field_pass, chain_runs, monkeypatch
+    ):
+        field = Field(2)  # fresh: the session fixtures prebuild the tables
+        counted = solver.generic_intermediates
+        on_tables = []
+
+        def checked(field, b):
+            on_tables.append(field._fast_tables)
+            return counted(field, b)
+
+        monkeypatch.setattr(solver, "generic_intermediates", checked)
+        whole_field_pass(field)
+        outside = [b for b in range(field.size) if not field.in_subfield(b, 2 * field.n)]
+        assert chain_runs == Counter(outside)
+        assert len(on_tables) == len(outside) and all(on_tables)
 
     def test_alternate_modulus_passes(self):
         field = Field(2, modulus=0x11D)
