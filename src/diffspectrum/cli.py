@@ -1,15 +1,23 @@
 """Command-line front end: classify, solve, spectrum, verify.
 
+Installed, it is the ``diffspectrum`` console script; from a checkout,
+run ``python -m diffspectrum.cli`` with ``src`` on ``PYTHONPATH``.
+
 All commands are deterministic: identical invocations produce
 byte-identical output regardless of ``--workers``, and no timing
-information reaches stdout.
+information reaches stdout.  ``classify`` and ``solve`` take
+``--format text|json``, ``spectrum`` also ``csv``; ``verify`` always
+prints its JSON report and takes no ``--format``.
 
-Exit codes:
+Each command returns its output and exit code.  ``main`` alone writes
+the output, to stdout or ``--out``, and turns every error into one
+``error:`` line on stderr and an exit code:
 
 * 0 -- success (and, for ``verify``, the report passed)
 * 1 -- verification failure (``verify`` report did not pass)
-* 2 -- malformed input (bad flags, bad/out-of-range ``--b``, bad n)
-* 3 -- modulus errors (not hex, wrong degree, reducible)
+* 2 -- malformed input (bad flags, bad/out-of-range ``--b``, bad n) or an
+  ``--out`` file that cannot be written
+* 3 -- modulus errors (not hex, not positive, wrong degree, reducible)
 * 4 -- internal re-verification failure (a bug signal, not bad input)
 * 5 -- field too large for an exhaustive pass
 """
@@ -19,18 +27,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from .errors import (
     DegreeMismatch,
     FieldTooLarge,
     GF2Error,
     InternalDegenerate,
-    MalformedHex,
-    OutOfRange,
     ReducibleModulus,
 )
-from .field import MAX_N, Field
+from .field import Field
 from .solver import (
     CASE_B_EQUALS_ONE,
     CASE_GENERIC_TWO,
@@ -61,11 +67,7 @@ FORMAT_CSV = "csv"
 
 
 class _CliError(Exception):
-    """Carries a message and the exit code it maps to."""
-
-    def __init__(self, message: str, code: int) -> None:
-        super().__init__(message)
-        self.code = code
+    """A --modulus that is not hex."""
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -78,19 +80,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, formats: Tuple[str, ...]) -> None:
         p.add_argument("--n", type=int, required=True, help="field parameter; the field is GF(2^(4n))")
         p.add_argument("--modulus", help="irreducible modulus of degree 4n as hex (default: smallest)")
-        p.add_argument("--format", choices=[FORMAT_TEXT, FORMAT_JSON, FORMAT_CSV], default=FORMAT_TEXT, help="output format")
+        if formats:
+            p.add_argument("--format", choices=formats, default=FORMAT_TEXT, help="output format")
         p.add_argument("--out", help="write output to this file instead of stdout")
         p.add_argument("--workers", type=int, default=1, help="accepted, no effect: each sweep is one vectorised pass")
 
     p_classify = sub.add_parser("classify", help="classify b and predict its solution count")
-    add_common(p_classify)
+    add_common(p_classify, (FORMAT_TEXT, FORMAT_JSON))
     p_classify.add_argument("--b", required=True, help="right-hand side, hex encoded")
 
     p_solve = sub.add_parser("solve", help="list every solution x for the given b")
-    add_common(p_solve)
+    add_common(p_solve, (FORMAT_TEXT, FORMAT_JSON))
     p_solve.add_argument("--b", required=True, help="right-hand side, hex encoded")
     p_solve.add_argument(
         "--enumerate-subfield",
@@ -99,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_spectrum = sub.add_parser("spectrum", help="solution-count histogram over all b")
-    add_common(p_spectrum)
+    add_common(p_spectrum, (FORMAT_TEXT, FORMAT_JSON, FORMAT_CSV))
     p_spectrum.add_argument(
         "--method",
         choices=[METHOD_FORMULA, METHOD_BRUTEFORCE],
@@ -108,131 +111,75 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_verify = sub.add_parser("verify", help="cross-check the solver against brute force for every b")
-    add_common(p_verify)
+    add_common(p_verify, ())
 
     return parser
 
 
 def _build_field(args: argparse.Namespace) -> Field:
-    if args.n < 1 or args.n > MAX_N:
-        raise _CliError(f"--n must be in 1..{MAX_N}, got {args.n}", EXIT_BAD_INPUT)
     modulus: Optional[int] = None
     if args.modulus is not None:
         try:
             modulus = int(args.modulus, 16)
         except ValueError:
-            raise _CliError(
-                f"--modulus is not valid hex: {args.modulus!r}", EXIT_BAD_MODULUS
-            ) from None
-        if modulus <= 0:
-            raise _CliError(
-                f"--modulus must be a positive polynomial encoding, got {args.modulus!r}",
-                EXIT_BAD_MODULUS,
-            )
-    try:
-        return Field(args.n, modulus)
-    except (DegreeMismatch, ReducibleModulus) as exc:
-        raise _CliError(str(exc), EXIT_BAD_MODULUS) from None
+            raise _CliError(f"--modulus is not valid hex: {args.modulus!r}") from None
+    return Field(args.n, modulus)
 
 
-def _decode_b(field: Field, raw: str) -> int:
-    try:
-        return field.decode_hex(raw)
-    except (MalformedHex, OutOfRange) as exc:
-        raise _CliError(str(exc), EXIT_BAD_INPUT) from None
-
-
-def _emit(text: str, out_path: Optional[str]) -> None:
-    if not text.endswith("\n"):
-        text += "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _cmd_classify(args: argparse.Namespace) -> Tuple[str, int]:
     field = _build_field(args)
-    b = _decode_b(field, args.b)
+    b = field.decode_hex(args.b)
     classification = classify(field, b)
-    outside_q2 = not field.in_subfield(b, 2 * field.n)
-    # outside GF(q^2), membership in the two-solution family is the case
-    s2 = int(classification.case == CASE_GENERIC_TWO)
+    payload = {"case": classification.case, "count": classification.predicted_count}
+    if not field.in_subfield(b, 2 * field.n):
+        # outside GF(q^2), membership in the two-solution family is the case
+        payload["s2"] = int(classification.case == CASE_GENERIC_TWO)
     if args.format == FORMAT_JSON:
-        payload = {
-            "case": classification.case,
-            "count": classification.predicted_count,
-        }
-        if outside_q2:
-            payload["s2"] = s2
-        _emit(json.dumps(payload), args.out)
-        return EXIT_OK
-    if args.format == FORMAT_CSV:
-        raise _CliError("classify does not support --format csv", EXIT_BAD_INPUT)
-    line = f"case={classification.case} count={classification.predicted_count}"
-    if outside_q2:
-        line += f" s2={s2}"
-    _emit(line, args.out)
-    return EXIT_OK
+        return json.dumps(payload), EXIT_OK
+    return " ".join(f"{key}={value}" for key, value in payload.items()), EXIT_OK
 
 
-def _cmd_solve(args: argparse.Namespace) -> int:
+def _cmd_solve(args: argparse.Namespace) -> Tuple[str, int]:
     field = _build_field(args)
-    b = _decode_b(field, args.b)
-    try:
-        classification, solutions = solve(field, b)
-    except InternalDegenerate as exc:
-        raise _CliError(f"internal verification failed: {exc}", EXIT_INTERNAL) from None
+    b = field.decode_hex(args.b)
+    classification, solutions = solve(field, b)
     summarise_subfield = (
         classification.case == CASE_B_EQUALS_ONE and not args.enumerate_subfield
     )
     listed: List[int] = [] if summarise_subfield else sorted(solutions)
     for x in listed:
         if not verify_solution(field, x, b):
-            raise _CliError(
-                f"solution {field.encode_hex(x)} failed re-verification",
-                EXIT_INTERNAL,
+            raise InternalDegenerate(
+                f"solution {field.encode_hex(x)} failed re-verification"
             )
+    roots = [field.encode_hex(x) for x in listed]
+    subfield = f"all of GF({field.q ** 2})"
     if args.format == FORMAT_JSON:
-        payload: dict = {"count": len(solutions)}
-        if summarise_subfield:
-            payload["solutions"] = f"all of GF({field.q ** 2})"
-        else:
-            payload["solutions"] = [field.encode_hex(x) for x in listed]
-        _emit(json.dumps(payload), args.out)
-        return EXIT_OK
-    if args.format == FORMAT_CSV:
-        raise _CliError("solve does not support --format csv", EXIT_BAD_INPUT)
+        listing = subfield if summarise_subfield else roots
+        return json.dumps({"count": len(solutions), "solutions": listing}), EXIT_OK
     if summarise_subfield:
-        _emit(f"count={len(solutions)} (all of GF({field.q ** 2}))", args.out)
-        return EXIT_OK
-    lines = [f"count={len(solutions)}"]
-    lines += [field.encode_hex(x) for x in listed]
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK
+        return f"count={len(solutions)} ({subfield})", EXIT_OK
+    return "\n".join([f"count={len(solutions)}", *roots]), EXIT_OK
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
+def _cmd_spectrum(args: argparse.Namespace) -> Tuple[str, int]:
     field = _build_field(args)
     if args.method == METHOD_BRUTEFORCE:
         histogram = bruteforce_histogram(field, workers=args.workers)
     else:
         histogram = formula_histogram(field.n)
-    if args.format == FORMAT_JSON:
-        _emit(histogram.to_json(), args.out)
-    elif args.format == FORMAT_CSV:
-        _emit(histogram.to_csv(), args.out)
-    else:
-        _emit(histogram.to_text(), args.out)
-    return EXIT_OK
+    render = {
+        FORMAT_TEXT: histogram.to_text,
+        FORMAT_JSON: histogram.to_json,
+        FORMAT_CSV: histogram.to_csv,
+    }[args.format]
+    return render(), EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
     field = _build_field(args)
     report = verify_conjecture(field, workers=args.workers)
-    _emit(report.to_json(), args.out)
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return report.to_json(), EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 _COMMANDS = {
@@ -242,9 +189,22 @@ _COMMANDS = {
     "verify": _cmd_verify,
 }
 
+# (error types, exit code, message prefix) for every error a command or
+# the write of its output lets through; the first matching row wins.
+_ERROR_EXITS = (
+    (FieldTooLarge, EXIT_FIELD_TOO_LARGE, ""),
+    (InternalDegenerate, EXIT_INTERNAL, "internal verification failed: "),
+    ((_CliError, DegreeMismatch, ReducibleModulus), EXIT_BAD_MODULUS, ""),
+    ((GF2Error, OSError), EXIT_BAD_INPUT, ""),
+)
+
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """Run the CLI; returns the exit code instead of calling sys.exit."""
+    """Run the CLI; returns the exit code instead of calling sys.exit.
+
+    The only place that writes a command's output or turns an error into
+    an exit code.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -252,21 +212,28 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits with 2 on usage errors and 0 for --help
         return int(exc.code or 0)
     try:
-        return _COMMANDS[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except FieldTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FIELD_TOO_LARGE
-    except InternalDegenerate as exc:
-        print(f"error: internal verification failed: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
-    except GF2Error as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        text, code = _COMMANDS[args.command](args)
+        if not text.endswith("\n"):
+            text += "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+        return code
+    except (_CliError, GF2Error, OSError) as exc:
+        code, prefix = next(
+            (code, prefix) for types, code, prefix in _ERROR_EXITS
+            if isinstance(exc, types)
+        )
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 def entrypoint() -> None:
     """Console-script shim."""
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entrypoint()

@@ -28,7 +28,8 @@ class NotInSubfield(GF2Error):
 
 
 class OutOfRange(GF2Error, ValueError):
-    """An integer encodes a polynomial of degree >= 4n."""
+    """An integer is outside its allowed range: an element encoding of
+    degree >= 4n, or a tower parameter n outside 1..MAX_N."""
 
 
 class MalformedHex(GF2Error, ValueError):

@@ -94,10 +94,11 @@ def is_irreducible(f: int) -> bool:
 
     A polynomial of degree m is irreducible iff it shares no factor with
     X^(2^i) - X for every i up to m/2, since that product collects all
-    irreducible polynomials of degree dividing i.
+    irreducible polynomials of degree dividing i.  f <= 0 encodes no
+    polynomial of positive degree and gives False.
     """
     m = f.bit_length() - 1
-    if m < 1:
+    if f <= 0 or m < 1:
         return False
     r = 2  # X
     for _ in range(m // 2):
@@ -198,10 +199,8 @@ class Field:
     """
 
     def __init__(self, n: int, modulus: int | None = None):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise ValueError("n must be a positive integer")
-        if n > MAX_N:
-            raise ValueError(f"n={n} not supported (max {MAX_N})")
+        if not isinstance(n, int) or isinstance(n, bool) or not 1 <= n <= MAX_N:
+            raise OutOfRange(f"n must be an integer in 1..{MAX_N}, got {n!r}")
         self.n = n
         self.degree = 4 * n
         self.q = 1 << n
@@ -211,6 +210,9 @@ class Field:
         if modulus is None:
             modulus = default_modulus(self.degree)
         else:
+            if modulus <= 0:
+                raise DegreeMismatch(
+                    f"modulus {modulus:#x} is not a positive polynomial encoding")
             if modulus.bit_length() - 1 != self.degree:
                 raise DegreeMismatch(
                     f"modulus {modulus:#x} has degree {modulus.bit_length() - 1}, "

@@ -8,6 +8,10 @@ command logic, serialization, exit codes) is exercised in-process.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,8 @@ from diffspectrum.cli import (
     main,
 )
 from diffspectrum.spectrum import ENV_BRUTEFORCE_BITS
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, *argv):
@@ -262,6 +268,11 @@ class TestVerify:
         _, out, _ = run(capsys, "verify", "--n", "1")
         assert "elapsed" not in out
 
+    def test_format_rejected(self, capsys):
+        code, _, err = run(capsys, "verify", "--n", "1", "--format", "json")
+        assert code == EXIT_BAD_INPUT
+        assert "--format" in err
+
 
 class TestModulusHandling:
     def test_reducible_rejected(self, capsys):
@@ -282,6 +293,12 @@ class TestModulusHandling:
             capsys, "classify", "--n", "1", "--b", "0x1", "--modulus", "0x11b"
         )
         assert code == EXIT_BAD_MODULUS
+
+    @pytest.mark.parametrize("modulus", ["--modulus=-0x13", "--modulus=0"])
+    def test_nonpositive_rejected(self, capsys, modulus):
+        code, _, err = run(capsys, "classify", "--n", "1", "--b", "0x1", modulus)
+        assert code == EXIT_BAD_MODULUS
+        assert err.startswith("error:")
 
     def test_alternate_irreducible_accepted(self, capsys):
         code, out, _ = run(
@@ -324,3 +341,35 @@ class TestArgumentValidation:
     def test_missing_b_rejected(self, capsys):
         code, _, _ = run(capsys, "solve", "--n", "1")
         assert code == EXIT_BAD_INPUT
+
+
+class TestOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [("solve", "--n", "1", "--b", "0x9"), ("verify", "--n", "1")],
+        ids=["solve", "verify"],
+    )
+    def test_unwritable_out_is_bad_input(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not target.exists()
+
+    def test_module_entry_point(self):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-m", "diffspectrum.cli",
+             "classify", "--n", "1", "--b", "0x9"],
+            cwd=ROOT,
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == EXIT_OK, result.stderr
+        assert result.stdout == "case=GENERIC_TWO count=2 s2=1\n"

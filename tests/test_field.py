@@ -61,6 +61,10 @@ class TestModuli:
         for f in range(1 << 8, 1 << 9):
             assert is_irreducible(f) == oracle_naive.is_irreducible_by_trial_division(f)
 
+    @pytest.mark.parametrize("f", [-0x13, -1, 0])
+    def test_nonpositive_is_not_irreducible(self, f):
+        assert is_irreducible(f) is False
+
 
 class TestConstruction:
     def test_n1_defaults(self):
@@ -93,6 +97,16 @@ class TestConstruction:
             Field(-3)
         with pytest.raises(ValueError):
             Field(99)
+
+    @pytest.mark.parametrize("n", [0, -3, 16, 99, True, 1.0])
+    def test_bad_n_is_out_of_range(self, n):
+        with pytest.raises(OutOfRange, match=r"1\.\.15"):
+            Field(n)
+
+    @pytest.mark.parametrize("modulus", [-0x13, -1, 0])
+    def test_nonpositive_modulus_rejected(self, modulus):
+        with pytest.raises(DegreeMismatch, match="not a positive polynomial encoding"):
+            Field(1, modulus)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_supported_n_construct(self, n):
