@@ -19,6 +19,11 @@ a^(2^i) over the set bits i of e.  Each image is one lookup per byte of a
 in a GF(2)-linear table (apply_linear): ceil(4n/8) byte tables of up to 256
 entries for each bit i, built once per field when a bit >= i is first used.
 
+numpy is imported only inside the functions that build arrays: exp_table(),
+ensure_tables() and the byte-product helpers behind them and the sweeps.
+The scalar path (mul, inv, pow, Frobenius, trace, norm) never loads it, so
+a process that only classifies or solves single b skips the import.
+
 Fields are immutable after construction apart from internal memo tables.
 """
 
@@ -28,9 +33,7 @@ import math
 import re
 from array import array
 from functools import partial
-from typing import Callable, Hashable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Hashable, Iterator
 
 from .errors import (
     DegreeMismatch,
@@ -40,6 +43,9 @@ from .errors import (
     OutOfRange,
     ReducibleModulus,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Element = int
 
@@ -146,6 +152,8 @@ def _byte_product_tables(row: np.ndarray, field: Field) -> tuple[np.ndarray, ...
     """_byte_tables of c -> c * row, which is GF(2)-linear in c: entry v of
     table k is the uint32 row (v << 8k) * row.  The images X^j * row come
     from repeated multiplication by X."""
+    import numpy as np
+
     m = field.degree
     cur, images = row.astype(np.int64), []
     for _ in range(m):
@@ -164,6 +172,8 @@ def _byte_products(tables: tuple[np.ndarray, ...], values: np.ndarray) -> np.nda
 
 def _vec_mul_const(arr: np.ndarray, c: int, field: Field) -> np.ndarray:
     """Multiply every entry of the uint32 array arr by the constant c."""
+    import numpy as np
+
     return _byte_products(_byte_product_tables(np.asarray(c), field), arr)
 
 
@@ -210,6 +220,9 @@ class Field:
         if modulus is None:
             modulus = default_modulus(self.degree)
         else:
+            if not isinstance(modulus, int) or isinstance(modulus, bool):
+                raise DegreeMismatch(
+                    f"modulus must be an integer polynomial encoding, got {modulus!r}")
             if modulus <= 0:
                 raise DegreeMismatch(
                     f"modulus {modulus:#x} is not a positive polynomial encoding")
@@ -536,6 +549,8 @@ class Field:
         row g^0 .. g^(q^2 - 1).  Both vectors take q^2 scalar multiplies;
         the products are byte-table lookups (_byte_product_tables).
         """
+        import numpy as np
+
         if self._exp is None:
             g = self.primitive_element()
             width = self.q * self.q
@@ -553,6 +568,8 @@ class Field:
 
     def _powers(self, base: Element, count: int) -> np.ndarray:
         """uint32 array of base^0 .. base^(count - 1)."""
+        import numpy as np
+
         out = np.empty(count, dtype=np.uint32)
         e = 1
         for i in range(count):
@@ -571,6 +588,8 @@ class Field:
         """
         if self._fast_tables or self.degree > TABLE_FAST_PATH_BITS:
             return
+        import numpy as np
+
         exp = self.exp_table()
         log = np.zeros(self.size, dtype=np.int64)
         log[exp] = np.arange(self.group_order)

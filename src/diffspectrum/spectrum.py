@@ -10,6 +10,10 @@ The enumeration, the formula path of ``ddt_row`` and the verifier share
 one per-b pass, which runs the generic chain once per b and switches the
 caller's field to table arithmetic (``Field.ensure_tables``).
 
+numpy is imported on first use, inside the functions that build or tally
+arrays (the power map, the tally, the histogram and ``ddt_row``), so
+importing this module, as the CLI does for every command, does not load it.
+
 Exhaustive passes are capped at fields of ``DEFAULT_BRUTEFORCE_BITS`` bits
 (override with the ``GF2_MAX_BRUTEFORCE_BITS`` environment variable); the
 closed-form histogram has no cap.
@@ -21,9 +25,7 @@ import json
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, Iterator, List, Optional, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from .errors import (
     FieldTooLarge,
@@ -42,6 +44,9 @@ from .solver import (
     eval_derivative,
     verify_solution,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "DEFAULT_BRUTEFORCE_BITS",
@@ -96,6 +101,8 @@ def _require_within_cap(field: Field, what: str) -> None:
 
 def _power_map(field: Field, exponent: int) -> np.ndarray:
     """Array P with P[x] = x^exponent for every field element x."""
+    import numpy as np
+
     order = field.group_order
     exp = field.exp_table()
     table = np.zeros(field.size, dtype=np.uint32)
@@ -112,6 +119,8 @@ def _derivative_tally(field: Field, a: Element) -> np.ndarray:
     One vectorised pass.  The index and power arrays are released before
     the bincount allocates its result, which lowers the peak memory.
     """
+    import numpy as np
+
     power = _power_map(field, field.d)
     shifted = np.arange(field.size, dtype=np.int64)
     shifted ^= a
@@ -191,6 +200,8 @@ class SpectrumHistogram:
 def _histogram_from_counts(
     field: Field, counts: np.ndarray, method: str
 ) -> SpectrumHistogram:
+    import numpy as np
+
     tallies = np.bincount(counts)
     entries = {
         int(count): int(mult) for count, mult in enumerate(tallies) if mult > 0
@@ -276,6 +287,8 @@ def ddt_row(
     the bruteforce path tallies the derivative directly.  Both paths
     agree.  ``workers`` has no effect.
     """
+    import numpy as np
+
     if a == 0:
         raise ZeroElement("differential rows are defined for nonzero a only")
     if not 0 < a < (1 << field.degree):

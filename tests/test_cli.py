@@ -2,7 +2,9 @@
 
 Each test drives ``cli.main`` directly with an argv list and captures
 stdout/stderr, so the full dispatch path (parsing, field construction,
-command logic, serialization, exit codes) is exercised in-process.
+command logic, serialization, exit codes) is exercised in-process.  A few
+tests start a fresh interpreter instead, where the state of the process is
+the point: the module entry point, and which commands load numpy.
 """
 
 from __future__ import annotations
@@ -33,6 +35,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_python(*args):
+    """Run the interpreter in a new process with the checkout's src/ first
+    on the path, so nothing this test session imported carries over."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, *args],
+        cwd=ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
 
 
 class TestExitCodeConstants:
@@ -358,18 +377,57 @@ class TestOutput:
         assert not target.exists()
 
     def test_module_entry_point(self):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
-        )
-        result = subprocess.run(
-            [sys.executable, "-m", "diffspectrum.cli",
-             "classify", "--n", "1", "--b", "0x9"],
-            cwd=ROOT,
-            env=env,
-            capture_output=True,
-            text=True,
-            timeout=60,
-        )
+        result = fresh_python("-m", "diffspectrum.cli", "classify", "--n", "1", "--b", "0x9")
         assert result.returncode == EXIT_OK, result.stderr
         assert result.stdout == "case=GENERIC_TWO count=2 s2=1\n"
+
+    def test_classify_and_solve_never_import_numpy(self):
+        # Per n: a two-solution b, a zero b, b = 1 and a mu_(q+1) b.  Solving
+        # the mu_(q+1) b at n = 15 would list q^2 - q ~ 2^30 roots, so it is
+        # only classified there.
+        queries = {
+            1: ["0x9", "0x0", "0x1", "0x6"],
+            4: ["0x2", "0x0", "0x1", "0x409a"],
+            15: ["0x105e94add63c197", "0x0", "0x1", "0x7ef4157045fc9e"],
+        }
+        argvs = [
+            [command, "--n", str(n), "--b", b]
+            for n, values in queries.items()
+            for command in ("classify", "solve")
+            for b in values
+            if not (command == "solve" and n == 15 and b == values[3])
+        ]
+        script = (
+            "import io, json, sys, contextlib\n"
+            "import diffspectrum\n"
+            "from diffspectrum import cli\n"
+            "cases, codes = [], []\n"
+            f"for argv in {argvs!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        codes.append(cli.main(argv))\n"
+            "    if argv[0] == 'classify':\n"
+            "        cases.append(out.getvalue().split()[0])\n"
+            "print(json.dumps([codes, cases, 'numpy' in sys.modules]))\n"
+        )
+        result = fresh_python("-c", script)
+        assert result.returncode == 0, result.stderr
+        codes, cases, numpy_loaded = json.loads(result.stdout)
+        assert codes == [EXIT_OK] * len(argvs)
+        assert cases == [
+            "case=GENERIC_TWO", "case=NO_SOLUTION", "case=B_EQUALS_ONE", "case=MU_CASE",
+        ] * len(queries)
+        assert not numpy_loaded
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("spectrum", "--n", "2", "--method", "bruteforce"), ("verify", "--n", "1")],
+        ids=["spectrum", "verify"],
+    )
+    def test_numpy_commands_in_fresh_process(self, capsys, argv):
+        """Commands that sweep arrays import numpy on first use and print
+        what they print in a process that already holds it."""
+        result = fresh_python("-m", "diffspectrum.cli", *argv)
+        code, out, _ = run(capsys, *argv)
+        assert (result.returncode, code) == (EXIT_OK, EXIT_OK), result.stderr
+        assert result.stdout == out

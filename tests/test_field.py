@@ -108,6 +108,11 @@ class TestConstruction:
         with pytest.raises(DegreeMismatch, match="not a positive polynomial encoding"):
             Field(1, modulus)
 
+    @pytest.mark.parametrize("modulus", [19.0, "0x13", True, False, [0x13]])
+    def test_non_int_modulus_rejected(self, modulus):
+        with pytest.raises(DegreeMismatch, match="must be an integer polynomial encoding"):
+            Field(1, modulus)
+
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_supported_n_construct(self, n):
         field = Field(n)
