@@ -9,18 +9,20 @@ every derived constant the rest of the library needs:
     d           = q^3 + q^2 + q - 1   (the exponent under study)
     group_order = q^4 - 1             = (q-1)(q+1)(q^2+1)
 
-exp_table() is the one table of powers g^i of the primitive element g: a
-numpy array built once per field, which the exhaustive sweeps index
-directly.  mul, inv and pow take one of two paths.  After ensure_tables()
-on a field of degree <= TABLE_FAST_PATH_BITS they index discrete-log lists
-derived from that table.  Otherwise mul is a schoolbook shift-and-reduce,
+exp_table() is the one table of powers g^i of the primitive element g, and
+power_table() beside it the one table of x -> x^d: numpy arrays built once
+per field and kept on it, which the exhaustive sweeps index directly.  mul,
+inv and pow take one of two paths.  After ensure_tables() on a field of
+degree <= TABLE_FAST_PATH_BITS they index discrete-log lists derived from
+the exp table.  Otherwise mul is a schoolbook shift-and-reduce,
 inv is extended Euclid, and pow(a, e) multiplies the Frobenius images
 a^(2^i) over the set bits i of e.  Each image is one lookup per byte of a
 in a GF(2)-linear table (apply_linear): ceil(4n/8) byte tables of up to 256
 entries for each bit i, built once per field when a bit >= i is first used.
 
 numpy is imported only inside the functions that build arrays: exp_table(),
-ensure_tables() and the byte-product helpers behind them and the sweeps.
+power_table(), ensure_tables() and the byte-product helpers behind them and
+the sweeps.
 The scalar path (mul, inv, pow, Frobenius, trace, norm) never loads it, so
 a process that only classifies or solves single b skips the import.
 
@@ -59,8 +61,8 @@ MAX_N = 15
 # table lookups (up to ceil(4n/8) * 256 entries per exponent bit used).
 TABLE_FAST_PATH_BITS = 20
 
-# exp_table() fills its q^2 x q^2 view _EXP_CHUNK entries at a time, so the
-# temporaries of each step stay small enough for the caches.
+# exp_table(), power_table() and the sweeps work _EXP_CHUNK entries at a
+# time, so the temporaries of each step stay small enough for the caches.
 _EXP_CHUNK = 1 << 16
 
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+\Z")
@@ -249,6 +251,10 @@ class Field:
         self.crt_exponents = tuple(exps)
 
         self._exp: np.ndarray | None = None
+        self._power: np.ndarray | None = None
+        # The a = 1 differential row of the formula path, kept by
+        # spectrum.ddt_row once its per-b pass has built it.
+        self._formula_row_one: np.ndarray | None = None
         self._tables: tuple[list[int], list[int]] | None = None
         self._fast_tables = False
         self._primitive: int | None = None
@@ -565,6 +571,28 @@ class Field:
             exp.flags.writeable = False
             self._exp = exp
         return self._exp
+
+    def power_table(self) -> np.ndarray:
+        """Read-only uint32 array of length q^4 with P[x] = x^d for every
+        element x; built once per field and shared by every caller.
+
+        g^i maps to g^(i d), so P[exp[i]] = exp[i d mod (q^4 - 1)], filled
+        _EXP_CHUNK exponents at a time; P[0] = 0.
+        """
+        import numpy as np
+
+        if self._power is None:
+            exp = self.exp_table()
+            order = self.group_order
+            table = np.zeros(self.size, dtype=np.uint32)
+            for lo in range(0, order, _EXP_CHUNK):
+                exponents = np.arange(lo, min(lo + _EXP_CHUNK, order), dtype=np.int64)
+                exponents *= self.d
+                exponents %= order
+                table[exp[lo:lo + _EXP_CHUNK]] = exp[exponents]
+            table.flags.writeable = False
+            self._power = table
+        return self._power
 
     def _powers(self, base: Element, count: int) -> np.ndarray:
         """uint32 array of base^0 .. base^(count - 1)."""

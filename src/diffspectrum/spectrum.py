@@ -1,17 +1,19 @@
 """Whole-field analysis of the derivative equation x^d + (x+1)^d = b.
 
-This module provides the exhaustive oracle (a vectorised single pass over
-all of GF(2^(4n)) tallying solutions per b), the closed-form solution-count
+This module provides the exhaustive oracle (a chunked numpy tally of
+solutions per b over all of GF(2^(4n)), which evaluates one x of each pair
+{x, x+a} on the field's cached x^d table), the closed-form solution-count
 histogram, enumeration of the two-solution family, differential-table rows
 for arbitrary nonzero a, and a verifier that cross-checks the constructive
 solver against the oracle element by element.
 
 The enumeration, the formula path of ``ddt_row`` and the verifier share
 one per-b pass, which runs the generic chain once per b and switches the
-caller's field to table arithmetic (``Field.ensure_tables``).
+caller's field to table arithmetic (``Field.ensure_tables``).  The formula
+path runs it once per field: the a = 1 row it relabels is kept on the field.
 
 numpy is imported on first use, inside the functions that build or tally
-arrays (the power map, the tally, the histogram and ``ddt_row``), so
+arrays (the tally, the histogram and ``ddt_row``), so
 importing this module, as the CLI does for every command, does not load it.
 
 Exhaustive passes are capped at fields of ``DEFAULT_BRUTEFORCE_BITS`` bits
@@ -22,6 +24,7 @@ closed-form histogram has no cap.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 from dataclasses import dataclass, field as dataclass_field
@@ -34,7 +37,7 @@ from .errors import (
     PreconditionViolated,
     ZeroElement,
 )
-from .field import Element, Field, _vec_mul_const
+from .field import _EXP_CHUNK, Element, Field, _vec_mul_const
 from .solver import (
     CASE_GENERIC_TWO,
     Classification,
@@ -96,46 +99,41 @@ def _require_within_cap(field: Field, what: str) -> None:
 
 
 # ---------------------------------------------------------------------
-# Vectorised field sweep.
+# Exhaustive field sweep.
 # ---------------------------------------------------------------------
-
-def _power_map(field: Field, exponent: int) -> np.ndarray:
-    """Array P with P[x] = x^exponent for every field element x."""
-    import numpy as np
-
-    order = field.group_order
-    exp = field.exp_table()
-    table = np.zeros(field.size, dtype=np.uint32)
-    indices = np.arange(order, dtype=np.int64)
-    indices *= exponent % order
-    indices %= order
-    table[exp] = exp[indices]
-    return table
-
 
 def _derivative_tally(field: Field, a: Element) -> np.ndarray:
     """Per-b solution tally of x^d + (x+a)^d = b over the whole field.
 
-    One vectorised pass.  The index and power arrays are released before
-    the bincount allocates its result, which lowers the peak memory.
+    x and x + a give the same b, so only the x whose bit at a's lowest set
+    bit is clear are evaluated, and the tally is doubled at the end.  The
+    i-th such x is i with a zero bit inserted there, i + (i & keep).  They
+    are taken _EXP_CHUNK at a time: each chunk gathers x^d and (x+a)^d from
+    ``Field.power_table()`` and adds its b values into one int64 tally.
     """
     import numpy as np
 
-    power = _power_map(field, field.d)
-    shifted = np.arange(field.size, dtype=np.int64)
-    shifted ^= a
-    values = power[shifted]
-    del shifted
-    values ^= power
-    del power
-    return np.bincount(values, minlength=field.size)
+    power = field.power_table()
+    keep = np.uint32(field.group_order & -(a & -a))  # bits at and above a's lowest
+    shift = np.uint32(a)
+    counts = np.zeros(field.size, dtype=np.int64)
+    half = field.size >> 1
+    for lo in range(0, half, _EXP_CHUNK):
+        x = np.arange(lo, min(lo + _EXP_CHUNK, half), dtype=np.uint32)
+        x += x & keep
+        values = power[x]
+        x ^= shift
+        values ^= power[x]
+        np.add.at(counts, values, 1)
+    counts *= 2
+    return counts
 
 
 def bruteforce_counts(field: Field, workers: int = 1) -> np.ndarray:
     """Per-b solution tally of x^d + (x+1)^d = b over the whole field.
 
-    Returns an integer array of length 2^(4n) indexed by b.  The tally is
-    one vectorised pass; ``workers`` is accepted and has no effect.
+    Returns an int64 array of length 2^(4n) indexed by b, from the chunked
+    half-pair tally; ``workers`` is accepted and has no effect.
     """
     _require_within_cap(field, "exhaustive tally")
     return _derivative_tally(field, 1)
@@ -282,13 +280,18 @@ def ddt_row(
 
     The substitution y = x/a turns the equation into y^d + (y+1)^d =
     b/a^d, so the a-row is the a=1 row relabelled by b -> a^d * b.  The
-    formula path runs the per-b classification pass (one chain per b,
-    switching ``field`` to table arithmetic) and applies the relabelling;
+    formula path applies the relabelling to the a=1 row, which the first
+    call on a field builds by the per-b classification pass (one chain per
+    b, switching ``field`` to table arithmetic) and keeps on the field;
     the bruteforce path tallies the derivative directly.  Both paths
-    agree.  ``workers`` has no effect.
+    agree.  ``a`` may be any integer type; ``workers`` has no effect.
     """
     import numpy as np
 
+    try:
+        a = operator.index(a)
+    except TypeError:
+        raise OutOfRange(f"direction must be an integer, got {a!r}") from None
     if a == 0:
         raise ZeroElement("differential rows are defined for nonzero a only")
     if not 0 < a < (1 << field.degree):
@@ -299,13 +302,16 @@ def ddt_row(
     if method == METHOD_BRUTEFORCE:
         return _derivative_tally(field, a)
 
-    size = 1 << field.degree
-    row_one = np.zeros(size, dtype=np.int64)
-    for b, classification, _ in _classified(field):
-        row_one[b] = classification.predicted_count
+    row_one = field._formula_row_one
+    if row_one is None:
+        row_one = np.zeros(field.size, dtype=np.int64)
+        for b, classification, _ in _classified(field):
+            row_one[b] = classification.predicted_count
+        row_one.flags.writeable = False
+        field._formula_row_one = row_one
     scale = field.pow(a, field.d)
-    positions = _vec_mul_const(np.arange(size, dtype=np.uint32), scale, field)
-    row = np.zeros(size, dtype=np.int64)
+    positions = _vec_mul_const(np.arange(field.size, dtype=np.uint32), scale, field)
+    row = np.zeros(field.size, dtype=np.int64)
     row[positions] = row_one
     return row
 
@@ -414,10 +420,11 @@ def _check_all(
 def verify_conjecture(field: Field, workers: int = 1) -> VerificationReport:
     """Exhaustively cross-check the solver against the brute-force oracle.
 
-    Four phases: the vectorised tally, the closed-form histogram, a per-b
+    Four phases: the exhaustive tally, the closed-form histogram, a per-b
     classify/solve/re-verify pass, and the two-solution-family count
-    comparison.  The tally is one vectorised pass; the per-b pass runs one
-    chain per b, serially, and switches ``field`` to table arithmetic.
+    comparison.  The tally is the chunked half-pair pass of
+    ``bruteforce_counts``; the per-b pass runs one chain per b, serially,
+    and switches ``field`` to table arithmetic.
     ``workers`` is accepted and has no effect.
     """
     _require_within_cap(field, "exhaustive verification")

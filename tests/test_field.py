@@ -21,7 +21,7 @@ from diffspectrum.field import (
     default_modulus,
     is_irreducible,
 )
-from diffspectrum.spectrum import bruteforce_counts
+from diffspectrum.spectrum import bruteforce_counts, ddt_row
 
 # Smallest irreducible polynomial per degree, frozen from the
 # trial-division scan in oracle_naive (re-derived below as a cross-check).
@@ -262,6 +262,32 @@ class TestExpTable:
         assert builds == [256]
         assert np.array_equal(bruteforce_counts(field), first)
         assert builds == [256]
+        power = field.power_table()
+        ddt_row(field, 0x1234, method="bruteforce")
+        assert builds == [256]
+        assert field.power_table() is power
+
+    @pytest.mark.parametrize("n,samples", [(1, None), (2, None), (3, None), (5, 256)])
+    def test_power_table_entries_are_d_th_powers(self, n, samples):
+        field = Field(n)  # fresh: pow stays on the schoolbook path
+        power = field.power_table()
+        assert power.dtype == np.uint32 and power.shape == (field.size,)
+        if samples is None:
+            xs = range(field.size)
+        else:
+            rng = random.Random(5)
+            xs = [0, 1, field.size - 1, *(rng.randrange(field.size) for _ in range(samples))]
+        for x in xs:
+            assert int(power[x]) == field.pow(x, field.d), x
+        assert not field._fast_tables
+
+    def test_power_table_is_read_only_and_built_once(self):
+        field = Field(2)
+        power = field.power_table()
+        assert not power.flags.writeable
+        with pytest.raises(ValueError):
+            power[0] = 1
+        assert field.power_table() is power
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_vec_mul_const_matches_schoolbook(self, n):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -269,6 +271,65 @@ class TestDdtRow:
 
     def test_max_entry_is_q_squared(self, f2):
         assert int(ddt_row(f2, 1).max()) == f2.q * f2.q
+
+    @pytest.mark.parametrize("direction", [np.int64(3), np.uint32(3)])
+    def test_numpy_integer_direction(self, f2, direction):
+        for method in (METHOD_FORMULA, METHOD_BRUTEFORCE):
+            assert np.array_equal(ddt_row(f2, direction, method=method), ddt_row(f2, 3))
+
+    @pytest.mark.parametrize("direction", [1.0, 2.5])
+    def test_float_direction_rejected(self, f1, direction):
+        for method in (METHOD_FORMULA, METHOD_BRUTEFORCE):
+            with pytest.raises(OutOfRange):
+                ddt_row(f1, direction, method=method)
+
+    def test_formula_row_one_is_built_once_per_field(self, chain_runs):
+        field = Field(2)  # fresh: the session fixtures may hold the row
+        ddt_row(field, 1, method=METHOD_FORMULA)
+        assert chain_runs
+        chain_runs.clear()
+        row = ddt_row(field, 0x53, method=METHOD_FORMULA)
+        assert chain_runs == Counter()
+        assert np.array_equal(row, ddt_row(field, 0x53, method=METHOD_BRUTEFORCE))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_bruteforce_row_matches_full_tally(self, n):
+        # The half-pair tally against the plain whole-field tally, for
+        # directions whose lowest set bit sits at the bottom, the top and
+        # the middle of the field, plus seeded ones.
+        field = Field(n)
+        m, size = field.degree, field.size
+        rng = random.Random(n)
+        directions = [
+            1,
+            1 << (m - 1),
+            1 << (2 * n),
+            (1 << (m - 1)) | (1 << (2 * n)),
+            size - 1,
+            *(rng.randrange(1, size) for _ in range(4)),
+        ]
+        power = field.power_table()
+        for a in directions:
+            expected = np.bincount(power ^ power[np.arange(size) ^ a], minlength=size)
+            row = ddt_row(field, a, method=METHOD_BRUTEFORCE)
+            assert row.dtype == np.int64
+            assert np.array_equal(row, expected), hex(a)
+            assert not (row % 2).any()
+
+    def test_bruteforce_row_allocates_one_tally(self):
+        # On a warm field a row allocates its int64 result plus chunk-sized
+        # temporaries.  The slack of 4 bytes per element is less than one
+        # field-sized int64 index or bincount cast, so either would fail.
+        field = Field(5)
+        ddt_row(field, 1, method=METHOD_BRUTEFORCE)  # builds the cached tables
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            counts = ddt_row(field, 0x2B5C7, method=METHOD_BRUTEFORCE)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - before <= counts.nbytes + 4 * field.size
 
 
 class TestVerifyConjecture:
