@@ -4,10 +4,10 @@ Installed, it is the ``diffspectrum`` console script; from a checkout,
 run ``python -m diffspectrum.cli`` with ``src`` on ``PYTHONPATH``.
 
 All commands are deterministic: identical invocations produce
-byte-identical output regardless of ``--workers``, and no timing
-information reaches stdout.  ``classify`` and ``solve`` take
-``--format text|json``, ``spectrum`` also ``csv``; ``verify`` always
-prints its JSON report and takes no ``--format``.
+byte-identical output, and no timing information reaches stdout.
+``classify`` and ``solve`` take ``--format text|json``, ``spectrum`` also
+``csv``; ``verify`` always prints its JSON report and takes no
+``--format``.
 
 Each command returns its output and exit code.  ``main`` alone writes
 the output, to stdout or ``--out``, and turns every error into one
@@ -86,7 +86,6 @@ def _build_parser() -> argparse.ArgumentParser:
         if formats:
             p.add_argument("--format", choices=formats, default=FORMAT_TEXT, help="output format")
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--workers", type=int, default=1, help="accepted, no effect: each sweep is one vectorised pass")
 
     p_classify = sub.add_parser("classify", help="classify b and predict its solution count")
     add_common(p_classify, (FORMAT_TEXT, FORMAT_JSON))
@@ -165,7 +164,7 @@ def _cmd_solve(args: argparse.Namespace) -> Tuple[str, int]:
 def _cmd_spectrum(args: argparse.Namespace) -> Tuple[str, int]:
     field = _build_field(args)
     if args.method == METHOD_BRUTEFORCE:
-        histogram = bruteforce_histogram(field, workers=args.workers)
+        histogram = bruteforce_histogram(field)
     else:
         histogram = formula_histogram(field.n)
     render = {
@@ -178,7 +177,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> Tuple[str, int]:
 
 def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
     field = _build_field(args)
-    report = verify_conjecture(field, workers=args.workers)
+    report = verify_conjecture(field)
     return report.to_json(), EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 

@@ -16,16 +16,15 @@ numpy is imported on first use, inside the functions that build or tally
 arrays (the tally, the histogram and ``ddt_row``), so
 importing this module, as the CLI does for every command, does not load it.
 
-Exhaustive passes are capped at fields of ``DEFAULT_BRUTEFORCE_BITS`` bits
-(override with the ``GF2_MAX_BRUTEFORCE_BITS`` environment variable); the
-closed-form histogram has no cap.
+Exhaustive passes are capped at fields of ``BRUTEFORCE_CAP_BITS`` = 24
+bits, checked before any table is built; the closed-form histogram has no
+cap.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-import os
 import time
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
@@ -52,13 +51,11 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = [
-    "DEFAULT_BRUTEFORCE_BITS",
-    "ENV_BRUTEFORCE_BITS",
+    "BRUTEFORCE_CAP_BITS",
     "METHOD_BRUTEFORCE",
     "METHOD_FORMULA",
     "SpectrumHistogram",
     "VerificationReport",
-    "bruteforce_cap_bits",
     "bruteforce_counts",
     "bruteforce_histogram",
     "ddt_row",
@@ -72,29 +69,14 @@ __all__ = [
 METHOD_FORMULA = "formula"
 METHOD_BRUTEFORCE = "bruteforce"
 
-DEFAULT_BRUTEFORCE_BITS = 24
-ENV_BRUTEFORCE_BITS = "GF2_MAX_BRUTEFORCE_BITS"
-
-
-def bruteforce_cap_bits() -> int:
-    """Current exhaustive-pass cap in bits (env override included)."""
-    raw = os.environ.get(ENV_BRUTEFORCE_BITS)
-    if raw is None:
-        return DEFAULT_BRUTEFORCE_BITS
-    try:
-        return int(raw)
-    except ValueError:
-        raise OutOfRange(
-            f"{ENV_BRUTEFORCE_BITS} must be an integer, got {raw!r}"
-        ) from None
+BRUTEFORCE_CAP_BITS = 24
 
 
 def _require_within_cap(field: Field, what: str) -> None:
-    cap = bruteforce_cap_bits()
-    if field.degree > cap:
+    if field.degree > BRUTEFORCE_CAP_BITS:
         raise FieldTooLarge(
-            f"{what} over GF(2^{field.degree}) exceeds the {cap}-bit cap; "
-            f"set {ENV_BRUTEFORCE_BITS} to raise it"
+            f"{what} over GF(2^{field.degree}) exceeds the "
+            f"{BRUTEFORCE_CAP_BITS}-bit cap"
         )
 
 
@@ -129,11 +111,11 @@ def _derivative_tally(field: Field, a: Element) -> np.ndarray:
     return counts
 
 
-def bruteforce_counts(field: Field, workers: int = 1) -> np.ndarray:
+def bruteforce_counts(field: Field) -> np.ndarray:
     """Per-b solution tally of x^d + (x+1)^d = b over the whole field.
 
     Returns an int64 array of length 2^(4n) indexed by b, from the chunked
-    half-pair tally; ``workers`` is accepted and has no effect.
+    half-pair tally.
     """
     _require_within_cap(field, "exhaustive tally")
     return _derivative_tally(field, 1)
@@ -207,9 +189,8 @@ def _histogram_from_counts(
     return SpectrumHistogram(n=field.n, method=method, entries=entries)
 
 
-def bruteforce_histogram(field: Field, workers: int = 1) -> SpectrumHistogram:
-    """Histogram of per-b solution counts from the exhaustive sweep;
-    ``workers`` has no effect."""
+def bruteforce_histogram(field: Field) -> SpectrumHistogram:
+    """Histogram of per-b solution counts from the exhaustive sweep."""
     counts = bruteforce_counts(field)
     return _histogram_from_counts(field, counts, METHOD_BRUTEFORCE)
 
@@ -273,9 +254,7 @@ def s2_enumerate(field: Field) -> Tuple[int, Tuple[Element, ...]]:
 # ---------------------------------------------------------------------
 
 
-def ddt_row(
-    field: Field, a: Element, method: str = METHOD_FORMULA, workers: int = 1
-) -> np.ndarray:
+def ddt_row(field: Field, a: Element, method: str = METHOD_FORMULA) -> np.ndarray:
     """Per-b solution counts of x^d + (x+a)^d = b, as an array indexed by b.
 
     The substitution y = x/a turns the equation into y^d + (y+1)^d =
@@ -284,7 +263,7 @@ def ddt_row(
     call on a field builds by the per-b classification pass (one chain per
     b, switching ``field`` to table arithmetic) and keeps on the field;
     the bruteforce path tallies the derivative directly.  Both paths
-    agree.  ``a`` may be any integer type; ``workers`` has no effect.
+    agree.  ``a`` may be any integer type.
     """
     import numpy as np
 
@@ -367,7 +346,7 @@ class VerificationReport:
 
     def to_json(self, include_timings: bool = False) -> str:
         """JSON with a top-level "pass"; timings off by default so output
-        is byte-identical across runs and worker counts."""
+        is byte-identical across runs."""
         return json.dumps(self.as_dict(include_timings=include_timings), indent=2)
 
 
@@ -417,7 +396,7 @@ def _check_all(
     return mismatches, s2_seen
 
 
-def verify_conjecture(field: Field, workers: int = 1) -> VerificationReport:
+def verify_conjecture(field: Field) -> VerificationReport:
     """Exhaustively cross-check the solver against the brute-force oracle.
 
     Four phases: the exhaustive tally, the closed-form histogram, a per-b
@@ -425,7 +404,6 @@ def verify_conjecture(field: Field, workers: int = 1) -> VerificationReport:
     comparison.  The tally is the chunked half-pair pass of
     ``bruteforce_counts``; the per-b pass runs one chain per b, serially,
     and switches ``field`` to table arithmetic.
-    ``workers`` is accepted and has no effect.
     """
     _require_within_cap(field, "exhaustive verification")
     elapsed: Dict[str, float] = {}

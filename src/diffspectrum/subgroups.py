@@ -87,21 +87,15 @@ def solve_artin_schreier(field: Field, w: int, k: int) -> QuadraticRoots:
 def _artin_schreier_root(field: Field, w: int, k: int) -> int:
     """A root of y^2 + y = w when w in GF(2^k) has absolute trace 0.
 
-    Odd k uses the half-trace; even k uses the weighted sum over a fixed
-    trace-1 element theta:
+    One formula for every k, the weighted sum over a fixed trace-1 element
+    theta of GF(2^k) (``Field.trace_one_element``, which exists for odd k
+    too):
 
         y = sum_{i=0}^{k-2} (theta^(2^(i+1)) + ... + theta^(2^(k-1))) * w^(2^i)
 
-    Both formulas are sums of constants times Frobenius powers of w, so
-    they are GF(2)-linear and evaluate for every field element w.
+    It is a sum of constants times Frobenius powers of w, so it is
+    GF(2)-linear and evaluates for every field element w.
     """
-    if k % 2:
-        # half-trace: w + w^4 + w^16 + ... ((k+1)/2 terms)
-        y = cur = w
-        for _ in range(k // 2):
-            cur = field.frobenius2(cur, 2)
-            y ^= cur
-        return y
     theta = field.trace_one_element(k)
     powers = [theta]
     for _ in range(k - 1):

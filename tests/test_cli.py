@@ -26,7 +26,6 @@ from diffspectrum.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
-from diffspectrum.spectrum import ENV_BRUTEFORCE_BITS
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -235,22 +234,6 @@ class TestSpectrum:
         assert out == ""
         assert target.read_text() == "count,multiplicity\n4,1\n2,6\n0,9\n"
 
-    def test_workers_byte_identical(self, capsys):
-        _, one, _ = run(
-            capsys, "spectrum", "--n", "2", "--method", "bruteforce", "--workers", "1"
-        )
-        _, four, _ = run(
-            capsys, "spectrum", "--n", "2", "--method", "bruteforce", "--workers", "4"
-        )
-        assert one == four
-
-    def test_env_cap_override(self, capsys, monkeypatch):
-        monkeypatch.setenv(ENV_BRUTEFORCE_BITS, "8")
-        code, _, _ = run(capsys, "spectrum", "--n", "2", "--method", "bruteforce")
-        assert code == EXIT_OK
-        code, _, _ = run(capsys, "spectrum", "--n", "3", "--method", "bruteforce")
-        assert code == EXIT_FIELD_TOO_LARGE
-
 
 class TestVerify:
     def test_n1_passes(self, capsys):
@@ -277,11 +260,6 @@ class TestVerify:
         payload = json.loads(out)
         assert payload["pass"] is True
         assert payload["modulus"] == "0x11d"
-
-    def test_workers_byte_identical(self, capsys):
-        _, one, _ = run(capsys, "verify", "--n", "2", "--workers", "1")
-        _, four, _ = run(capsys, "verify", "--n", "2", "--workers", "4")
-        assert one == four
 
     def test_no_timings_in_output(self, capsys):
         _, out, _ = run(capsys, "verify", "--n", "1")
@@ -360,6 +338,22 @@ class TestArgumentValidation:
     def test_missing_b_rejected(self, capsys):
         code, _, _ = run(capsys, "solve", "--n", "1")
         assert code == EXIT_BAD_INPUT
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--n", "1", "--b", "0x1"),
+            ("solve", "--n", "1", "--b", "0x1"),
+            ("spectrum", "--n", "1"),
+            ("verify", "--n", "1"),
+        ],
+        ids=["classify", "solve", "spectrum", "verify"],
+    )
+    def test_workers_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--workers", "1")
+        assert code == EXIT_BAD_INPUT
+        assert out == ""
+        assert "--workers" in err
 
 
 class TestOutput:

@@ -20,12 +20,10 @@ from diffspectrum.errors import (
 from diffspectrum.field import Field
 from diffspectrum.solver import CASE_GENERIC_TWO, classify, solve
 from diffspectrum.spectrum import (
-    DEFAULT_BRUTEFORCE_BITS,
-    ENV_BRUTEFORCE_BITS,
+    BRUTEFORCE_CAP_BITS,
     METHOD_BRUTEFORCE,
     METHOD_FORMULA,
     SpectrumHistogram,
-    bruteforce_cap_bits,
     bruteforce_counts,
     bruteforce_histogram,
     ddt_row,
@@ -88,11 +86,6 @@ class TestBruteforceCounts:
         assert counts.shape == (4096,)
         assert int(counts.sum()) == 4096
 
-    def test_workers_agree(self, f2):
-        serial = bruteforce_counts(f2, workers=1)
-        parallel = bruteforce_counts(f2, workers=4)
-        assert np.array_equal(serial, parallel)
-
 
 class TestBruteforceHistogram:
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -102,30 +95,33 @@ class TestBruteforceHistogram:
         assert hist.method == METHOD_BRUTEFORCE
         assert hist.n == n
 
-    def test_workers_do_not_change_result(self, f2):
-        assert (
-            bruteforce_histogram(f2, workers=1).entries
-            == bruteforce_histogram(f2, workers=3).entries
-        )
 
-    def test_cap_blocks_large_fields(self, monkeypatch):
-        monkeypatch.setenv(ENV_BRUTEFORCE_BITS, "4")
-        assert bruteforce_cap_bits() == 4
+class TestSweepCap:
+    @pytest.mark.parametrize(
+        "exhaustive_pass",
+        [
+            bruteforce_counts,
+            bruteforce_histogram,
+            lambda field: ddt_row(field, 1, method=METHOD_FORMULA),
+            lambda field: ddt_row(field, 1, method=METHOD_BRUTEFORCE),
+            s2_enumerate,
+            verify_conjecture,
+        ],
+        ids=[
+            "bruteforce_counts",
+            "bruteforce_histogram",
+            "ddt_row_formula",
+            "ddt_row_bruteforce",
+            "s2_enumerate",
+            "verify_conjecture",
+        ],
+    )
+    def test_rejected_past_cap_before_any_table(self, exhaustive_pass):
+        field = Field(7)  # fresh, 28 bits
+        assert field.degree > BRUTEFORCE_CAP_BITS == 24
         with pytest.raises(FieldTooLarge):
-            bruteforce_histogram(Field(2))
-
-    def test_cap_env_override_allows(self, monkeypatch, f2):
-        monkeypatch.setenv(ENV_BRUTEFORCE_BITS, "8")
-        assert bruteforce_histogram(f2).entries == EXPECTED_HISTOGRAMS[2]
-
-    def test_default_cap(self, monkeypatch):
-        monkeypatch.delenv(ENV_BRUTEFORCE_BITS, raising=False)
-        assert bruteforce_cap_bits() == DEFAULT_BRUTEFORCE_BITS
-
-    def test_bad_env_value_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_BRUTEFORCE_BITS, "twenty")
-        with pytest.raises(OutOfRange):
-            bruteforce_cap_bits()
+            exhaustive_pass(field)
+        assert field._exp is None and field._power is None
 
 
 class TestFormulaHistogram:
@@ -217,11 +213,6 @@ class TestS2Enumeration:
         }
         assert set(s2_members(field)) == expected
 
-    def test_capped(self, monkeypatch):
-        monkeypatch.setenv(ENV_BRUTEFORCE_BITS, "4")
-        with pytest.raises(FieldTooLarge):
-            s2_enumerate(Field(2))
-
 
 class TestDdtRow:
     def test_zero_direction_rejected(self, f1):
@@ -249,9 +240,7 @@ class TestDdtRow:
         for a in (1, 2, 3, (1 << field.degree) - 1):
             formula = ddt_row(field, a, method=METHOD_FORMULA)
             brute = ddt_row(field, a, method=METHOD_BRUTEFORCE)
-            chunked = ddt_row(field, a, method=METHOD_BRUTEFORCE, workers=3)
             assert np.array_equal(formula, brute)
-            assert np.array_equal(chunked, brute)
 
     def test_rows_are_relabelings(self, f2):
         # Changing direction permutes the output labels; the multiset of
@@ -358,10 +347,8 @@ class TestVerifyConjecture:
         assert set(timings) == {"bruteforce", "formula", "per_b_check"}
         assert all(value >= 0.0 for value in timings.values())
 
-    def test_json_deterministic_across_workers(self, f2):
-        first = verify_conjecture(f2, workers=1).to_json()
-        second = verify_conjecture(f2, workers=4).to_json()
-        assert first == second
+    def test_json_deterministic(self, f2):
+        assert verify_conjecture(f2).to_json() == verify_conjecture(f2).to_json()
 
     def test_chain_runs_once_per_b_outside_gf_q2(self, f2, chain_runs):
         assert verify_conjecture(f2).passed
@@ -400,8 +387,3 @@ class TestVerifyConjecture:
         report = verify_conjecture(field)
         assert report.passed
         assert report.bruteforce_histogram.entries == EXPECTED_HISTOGRAMS[2]
-
-    def test_capped(self, monkeypatch):
-        monkeypatch.setenv(ENV_BRUTEFORCE_BITS, "4")
-        with pytest.raises(FieldTooLarge):
-            verify_conjecture(Field(2))
