@@ -12,13 +12,16 @@ every derived constant the rest of the library needs:
 exp_table() is the one table of powers g^i of the primitive element g, and
 power_table() beside it the one table of x -> x^d: numpy arrays built once
 per field and kept on it, which the exhaustive sweeps index directly.  mul,
-inv and pow take one of two paths.  After ensure_tables() on a field of
-degree <= TABLE_FAST_PATH_BITS they index discrete-log lists derived from
-the exp table.  Otherwise mul is a schoolbook shift-and-reduce,
-inv is extended Euclid, and pow(a, e) multiplies the Frobenius images
-a^(2^i) over the set bits i of e.  Each image is one lookup per byte of a
-in a GF(2)-linear table (apply_linear): ceil(4n/8) byte tables of up to 256
-entries for each bit i, built once per field when a bit >= i is first used.
+div, inv, pow and the Frobenius maps take one of two paths.  After
+ensure_tables() on a field of degree <= TABLE_FAST_PATH_BITS each is one
+lookup in discrete-log lists derived from the exp table; square, sqrt,
+frobenius_q and in_subfield go through mul or frobenius2 and take it too.
+Otherwise mul is a schoolbook shift-and-reduce, inv is extended Euclid, div
+is their composition, and pow(a, e), which also serves a^(2^j), multiplies
+the Frobenius images a^(2^i) over the set bits i of e.  Each image is one
+lookup per byte of a in a GF(2)-linear table (apply_linear): ceil(4n/8) byte
+tables of up to 256 entries for each bit i, built once per field when a bit
+>= i is first used.
 
 numpy is imported only inside the functions that build arrays: exp_table(),
 power_table(), ensure_tables() and the byte-product helpers behind them and
@@ -60,6 +63,12 @@ MAX_N = 15
 # ensure_tables(), mul and inv are schoolbook and pow multiplies Frobenius
 # table lookups (up to ceil(4n/8) * 256 entries per exponent bit used).
 TABLE_FAST_PATH_BITS = 20
+
+# Exhaustive passes over every element run only on fields of at most this
+# many bits; spectrum checks it before building any table.  Memo tables keyed
+# by element (subgroups.solve_t_from_T) use the same bound: within it a pass
+# over every b exists to fill and reuse them.
+BRUTEFORCE_CAP_BITS = 24
 
 # exp_table(), power_table() and the sweeps work _EXP_CHUNK entries at a
 # time, so the temporaries of each step stay small enough for the caches.
@@ -261,6 +270,9 @@ class Field:
         self._subfield_bases: dict[int, tuple[int, ...]] = {}
         self._trace_one: dict[int, int] = {}
         self._linear_maps: dict[Hashable, tuple[array, ...]] = {}
+        # subgroups.solve_t_from_T's roots by T, kept on fields within
+        # BRUTEFORCE_CAP_BITS.
+        self._t_roots: dict[int, tuple[int, ...]] = {}
 
     def __repr__(self) -> str:
         return f"Field(n={self.n}, modulus={self.modulus:#x})"
@@ -322,6 +334,14 @@ class Field:
         return _pmod(g1, self.modulus)
 
     def div(self, a: int, b: int) -> int:
+        """Quotient a / b; raises DivisionByZero when b is 0."""
+        if self._fast_tables:
+            if b == 0:
+                raise DivisionByZero("0 has no multiplicative inverse")
+            if a == 0:
+                return 0
+            exp, log = self._tables
+            return exp[(log[a] - log[b]) % self.group_order]
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
@@ -365,12 +385,17 @@ class Field:
 
     def sqrt(self, a: int) -> int:
         """The unique square root: squaring is a bijection in characteristic 2."""
-        return self.pow(a, 1 << (self.degree - 1))
+        return self.frobenius2(a, self.degree - 1)
 
     # -- Frobenius, trace, norm ------------------------------------------
 
     def frobenius2(self, a: int, j: int) -> int:
         """a^(2^j), the j-fold squaring map."""
+        if self._fast_tables:
+            if a == 0:
+                return 0
+            exp, log = self._tables
+            return exp[(log[a] << (j % self.degree)) % self.group_order]
         return self.pow(a, 1 << (j % self.degree))
 
     def frobenius_q(self, a: int, i: int) -> int:

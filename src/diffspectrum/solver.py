@@ -25,7 +25,7 @@ classifier exactly consistent with brute force by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Optional, Tuple
 
 from .errors import InternalDegenerate, PreconditionViolated
@@ -75,14 +75,23 @@ FAIL_ANSATZ_POLE = "ansatz_pole"
 FAIL_UNVERIFIED = "candidate_fails_equation"
 
 
+def _require_element(field: Field, value: Element, name: str = "b") -> None:
+    if not 0 <= value < field.size:
+        raise PreconditionViolated(
+            f"{name} = {value:#x} is outside the field of degree {field.degree}"
+        )
+
+
 def eval_derivative(field: Field, x: Element) -> Element:
     """x^d + (x+1)^d, the quantity whose level sets the histogram counts."""
+    _require_element(field, x, "x")
     d = field.d
     return field.pow(x, d) ^ field.pow(x ^ 1, d)
 
 
 def verify_solution(field: Field, x: Element, b: Element) -> bool:
     """Plug x into x^d + (x+1)^d and compare with b."""
+    _require_element(field, b)
     return eval_derivative(field, x) == b
 
 
@@ -206,6 +215,7 @@ def iter_mu_witnesses(field: Field, b: Element) -> Iterator[MuCaseWitness]:
     u^2 + T*u + 1 lie in the unit subgroup mu_{q^2+1} and each yields
     the solution x = 1/(1 + z*t).
     """
+    _require_element(field, b)
     n = field.n
     if b == 1 or field.pow(b, field.q + 1) != 1:
         raise PreconditionViolated(
@@ -300,13 +310,6 @@ class GenericIntermediates:
         return tuple(branch.x for branch in self.branches)
 
 
-def _require_element(field: Field, b: Element) -> None:
-    if not 0 <= b < field.size:
-        raise PreconditionViolated(
-            f"b = {b:#x} is outside the field of degree {field.degree}"
-        )
-
-
 def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     """Run the explicit construction for b outside GF(q^2).
 
@@ -342,11 +345,14 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     alpha = field.mul(c, c_q2)
     beta = c ^ c_q2  # nonzero precisely because b is outside GF(q^2)
     delta = field.pow(field.div(beta, alpha), q - 1)
-    result = GenericIntermediates(b=b, c=c, alpha=alpha, beta=beta, delta=delta)
     if delta == 1:
-        return replace(result, failure=FAIL_DELTA_ONE)
+        return GenericIntermediates(
+            b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_DELTA_ONE
+        )
     if alpha == 1:
-        return replace(result, failure=FAIL_ALPHA_ONE)
+        return GenericIntermediates(
+            b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_ALPHA_ONE
+        )
 
     gamma = field.div(c, beta)
     gamma_q = field.frobenius_q(gamma, 1)
@@ -361,14 +367,18 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     )
     uu = U ^ field.square(U)
     if uu == 0:
-        return replace(result, gamma=gamma, U=U, failure=FAIL_U_DEGENERATE)
+        return GenericIntermediates(
+            b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U,
+            failure=FAIL_U_DEGENERATE,
+        )
 
     T = field.div(1 ^ field.frobenius_q(delta, 1), field.sqrt(uu))
     T_q = field.frobenius_q(T, 1)
     t_pair = tuple(solve_t_from_T(field, T))
     if not t_pair:
-        return replace(
-            result, gamma=gamma, U=U, T=T, t_pair=t_pair, failure=FAIL_T_SUBFIELD
+        return GenericIntermediates(
+            b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
+            t_pair=t_pair, failure=FAIL_T_SUBFIELD,
         )
 
     A = field.div(field.mul(alpha, T) ^ T_q, alpha ^ 1)
@@ -402,11 +412,8 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
             continue
         branches.append(GenericBranch(t=t, A=A, B=B, B1=B1, lam=lam, z=z, x=x))
 
-    return replace(
-        result,
-        gamma=gamma,
-        U=U,
-        T=T,
+    return GenericIntermediates(
+        b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
         t_pair=t_pair,
         branches=tuple(branches),
         failure=None if len(branches) == 2 else branch_failure or FAIL_UNVERIFIED,

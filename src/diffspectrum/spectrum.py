@@ -36,7 +36,7 @@ from .errors import (
     PreconditionViolated,
     ZeroElement,
 )
-from .field import _EXP_CHUNK, Element, Field, _vec_mul_const
+from .field import BRUTEFORCE_CAP_BITS, _EXP_CHUNK, Element, Field, _vec_mul_const
 from .solver import (
     CASE_GENERIC_TWO,
     Classification,
@@ -68,8 +68,6 @@ __all__ = [
 
 METHOD_FORMULA = "formula"
 METHOD_BRUTEFORCE = "bruteforce"
-
-BRUTEFORCE_CAP_BITS = 24
 
 
 def _require_within_cap(field: Field, what: str) -> None:

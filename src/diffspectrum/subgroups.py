@@ -10,6 +10,12 @@ in GF(2^(2m)); they multiply to 1 and land either both in GF(2^m) or both
 in mu_(2^m + 1), decided by the absolute trace of 1/z.  Solving the
 derivative equation reduces to locating such roots, so the Artin-Schreier
 and quadratic solvers live here too.
+
+solve_t_from_T is memoised per field.  Its T always lies in GF(q^2)*, so
+however many b the solver handles, at most q^2 - 1 distinct T occur: the
+verifier's pass over all 65,536 b at n = 4 makes 64,784 calls with 240
+distinct T.  The memo is kept only on fields within BRUTEFORCE_CAP_BITS,
+where such a pass exists, so it holds at most q^2 - 1 <= 4,095 entries.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AmbientTooSmall, NotInSubfield, ZeroElement
-from .field import Field
+from .field import BRUTEFORCE_CAP_BITS, Field
 
 LOCATION_SUBFIELD = "subfield"
 LOCATION_UNITY_COSET = "unity_coset"
@@ -163,8 +169,18 @@ def solve_t_from_T(field: Field, Tval: int) -> list[int]:
     Returns the two such t (each other's inverses, sorted) when the absolute
     trace of 1/Tval over GF(q^2) is 1, and the empty list when it is 0, in
     which case both candidates sit in GF(q^2) instead.
+
+    The answer depends on the field and Tval alone, and T repeats across b:
+    on fields of at most BRUTEFORCE_CAP_BITS bits it is stored by Tval on
+    the field, at most q^2 - 1 entries.  Larger fields, which no pass over
+    every b reaches, store nothing.  Only answers are stored, so a Tval
+    that is 0 or outside GF(q^2) raises on every call, and every call
+    returns a new list.
     """
-    dec = c_plus_inv_decompose(field, Tval, 2 * field.n)
-    if dec.location == LOCATION_SUBFIELD:
-        return []
-    return list(dec.roots)
+    roots = field._t_roots.get(Tval)
+    if roots is None:
+        dec = c_plus_inv_decompose(field, Tval, 2 * field.n)
+        roots = () if dec.location == LOCATION_SUBFIELD else dec.roots
+        if field.degree <= BRUTEFORCE_CAP_BITS:
+            field._t_roots[Tval] = roots
+    return list(roots)

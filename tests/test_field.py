@@ -208,6 +208,19 @@ class TestRingAxioms:
             assert fast.inv(a) == plain.inv(a)
             for e in exponents:
                 assert fast.pow(a, e) == plain.pow(a, e)
+        for a in range(1 << 8):
+            for b in range(1, 1 << 8, 7):
+                assert fast.div(a, b) == plain.div(a, b)
+            with pytest.raises(DivisionByZero):
+                fast.div(a, 0)
+            assert fast.square(a) == plain.square(a)
+            assert fast.sqrt(a) == plain.sqrt(a)
+            for j in range(plain.degree + 1):
+                assert fast.frobenius2(a, j) == plain.frobenius2(a, j)
+            for i in range(5):
+                assert fast.frobenius_q(a, i) == plain.frobenius_q(a, i)
+            for k in (1, 2, 4, 8):
+                assert fast.in_subfield(a, k) == plain.in_subfield(a, k)
 
     @pytest.mark.parametrize("n,samples", [(1, None), (2, None), (3, 64), (6, 32), (15, 16)])
     def test_schoolbook_pow_agrees_with_naive_oracle(self, n, samples):

@@ -16,6 +16,7 @@ from diffspectrum.solver import (
     CASE_NO_SOLUTION,
     SolutionSet,
     classify,
+    eval_derivative,
     generic_intermediates,
     is_in_s2,
     iter_mu_witnesses,
@@ -72,6 +73,27 @@ class TestVerifySolution:
             b = f2.pow(x, f2.d) ^ f2.pow(x ^ 1, f2.d)
             assert verify_solution(f2, x, b)
             assert verify_solution(f2, x ^ 1, b)
+
+
+# Public entry points that take an x or a b, each called with the value under
+# test in that slot and a field element in any other.
+RANGE_CHECKED_ENTRIES = {
+    "eval_derivative.x": lambda field, v: eval_derivative(field, v),
+    "verify_solution.x": lambda field, v: verify_solution(field, v, 0),
+    "verify_solution.b": lambda field, v: verify_solution(field, 0, v),
+    "iter_mu_witnesses.b": lambda field, v: list(iter_mu_witnesses(field, v)),
+    "solve_mu_case.b": lambda field, v: solve_mu_case(field, v),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("entry", sorted(RANGE_CHECKED_ENTRIES))
+def test_out_of_range_element_rejected(entry, n):
+    field = Field(n)
+    call = RANGE_CHECKED_ENTRIES[entry]
+    for value in (field.size, field.size | 0x2, -1):
+        with pytest.raises(PreconditionViolated):
+            call(field, value)
 
 
 class TestClassify:

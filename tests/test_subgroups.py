@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from diffspectrum import solver
 from diffspectrum.errors import AmbientTooSmall, NotInSubfield, ZeroElement
+from diffspectrum.field import Field
 from diffspectrum.subgroups import (
     LOCATION_SUBFIELD,
     LOCATION_UNITY_COSET,
@@ -297,6 +299,57 @@ class TestSolveTFromT:
         }
         assert solvable == attained
         assert len(solvable) == q * q // 2
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_memoised_answer_matches_decomposition(self, n):
+        field = Field(n)
+        field.ensure_tables()
+        for tval in field.iter_subfield(2 * n):
+            if tval == 0:
+                continue
+            dec = c_plus_inv_decompose(field, tval, 2 * n)
+            expected = [] if dec.location == LOCATION_SUBFIELD else list(dec.roots)
+            assert solve_t_from_T(field, tval) == expected
+            assert tval in field._t_roots
+            assert solve_t_from_T(field, tval) == expected
+        assert len(field._t_roots) <= field.q**2 - 1
+
+    def test_returned_list_is_a_copy(self, f2):
+        tval = next(t for t in f2.iter_subfield(4) if t and solve_t_from_T(f2, t))
+        first = solve_t_from_T(f2, tval)
+        expected = list(first)
+        first.append(0)
+        first[0] = 0
+        assert solve_t_from_T(f2, tval) == expected
+
+    def test_invalid_T_raises_on_every_call(self):
+        field = Field(2)
+        outsider = field.primitive_element()
+        for tval in field.iter_subfield(4):
+            if tval:
+                solve_t_from_T(field, tval)
+        for _ in range(2):
+            with pytest.raises(ZeroElement):
+                solve_t_from_T(field, 0)
+            with pytest.raises(NotInSubfield):
+                solve_t_from_T(field, outsider)
+        assert 0 not in field._t_roots and outsider not in field._t_roots
+
+    def test_no_memo_past_the_sweep_cap(self, monkeypatch):
+        field = Field(7)
+        calls = []
+
+        def counted(f, tval):
+            calls.append(tval)
+            return solve_t_from_T(f, tval)
+
+        monkeypatch.setattr(solver, "solve_t_from_T", counted)
+        rng = random.Random("memo-cap")
+        for _ in range(4):
+            b = rng.randrange(field.size)
+            solver.classify(field, b)
+            solver.solve(field, b)
+        assert calls and field._t_roots == {}
 
 
 class TestIntersectionLemma:
