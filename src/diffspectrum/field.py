@@ -14,14 +14,15 @@ power_table() beside it the one table of x -> x^d: numpy arrays built once
 per field and kept on it, which the exhaustive sweeps index directly.  mul,
 div, inv, pow and the Frobenius maps take one of two paths.  After
 ensure_tables() on a field of degree <= TABLE_FAST_PATH_BITS each is one
-lookup in discrete-log lists derived from the exp table; square, sqrt,
-frobenius_q and in_subfield go through mul or frobenius2 and take it too.
-Otherwise mul is a schoolbook shift-and-reduce, inv is extended Euclid, div
-is their composition, and pow(a, e), which also serves a^(2^j), multiplies
-the Frobenius images a^(2^i) over the set bits i of e.  Each image is one
-lookup per byte of a in a GF(2)-linear table (apply_linear): ceil(4n/8) byte
-tables of up to 256 entries for each bit i, built once per field when a bit
->= i is first used.
+lookup in discrete-log lists derived from the exp table, and so are square,
+sqrt and frobenius_q, which each index the lists themselves rather than call
+mul or frobenius2; in_subfield goes through frobenius2 and takes it too.
+Otherwise mul is a schoolbook shift-and-reduce, square calls it directly,
+inv is extended Euclid, div is their composition, and pow(a, e), which also
+serves a^(2^j) and so sqrt and frobenius_q, multiplies the Frobenius images
+a^(2^i) over the set bits i of e.  Each image is one lookup per byte of a in
+a GF(2)-linear table (apply_linear): ceil(4n/8) byte tables of up to 256
+entries for each bit i, built once per field when a bit >= i is first used.
 
 numpy is imported only inside the functions that build arrays: exp_table(),
 power_table(), ensure_tables() and the byte-product helpers behind them and
@@ -43,6 +44,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterator
 from .errors import (
     DegreeMismatch,
     DivisionByZero,
+    InternalDegenerate,
     MalformedHex,
     NotInSubfield,
     OutOfRange,
@@ -246,7 +248,8 @@ class Field:
         self.modulus = modulus
 
         # x -> x^d permutes the field; everything downstream relies on it.
-        assert math.gcd(self.d, self.group_order) == 1
+        if math.gcd(self.d, self.group_order) != 1:
+            raise InternalDegenerate(f"x -> x^{self.d} does not permute GF(2^{self.degree})")
 
         # Orders of the three unity subgroups mu_(q-1), mu_(q+1), mu_(q^2+1)
         # whose (pairwise coprime) product is the full group order, plus the
@@ -311,7 +314,12 @@ class Field:
         return r
 
     def square(self, a: int) -> int:
-        return self.mul(a, a)
+        if self._fast_tables:
+            if a == 0:
+                return 0
+            exp, log = self._tables
+            return exp[(log[a] << 1) % self.group_order]
+        return self._mul_schoolbook(a, a)
 
     def inv(self, a: int) -> int:
         """Multiplicative inverse; raises DivisionByZero on 0."""
@@ -385,6 +393,11 @@ class Field:
 
     def sqrt(self, a: int) -> int:
         """The unique square root: squaring is a bijection in characteristic 2."""
+        if self._fast_tables:
+            if a == 0:
+                return 0
+            exp, log = self._tables
+            return exp[(log[a] << (self.degree - 1)) % self.group_order]
         return self.frobenius2(a, self.degree - 1)
 
     # -- Frobenius, trace, norm ------------------------------------------
@@ -402,6 +415,11 @@ class Field:
         """a^(q^i) for i >= 0; composing four times is the identity."""
         if i < 0:
             raise ValueError("Frobenius power must be nonnegative")
+        if self._fast_tables:
+            if a == 0:
+                return 0
+            exp, log = self._tables
+            return exp[(log[a] << (self.n * i % self.degree)) % self.group_order]
         return self.frobenius2(a, self.n * i % self.degree)
 
     def _check_tower(self, a: int, l: int, k: int) -> None:
@@ -506,7 +524,9 @@ class Field:
                 mask ^= pm
             else:
                 kernel.append(mask)  # the mask *is* the fixed element
-        assert len(kernel) == k
+        if len(kernel) != k:
+            raise InternalDegenerate(
+                f"x -> x^(2^{k}) + x has a kernel of dimension {len(kernel)}, not {k}")
         # reduced echelon form: distinct leading bits, none present in the
         # other vectors, sorted ascending -> index enumeration is monotone
         basis: list[int] = []
@@ -519,7 +539,8 @@ class Field:
                 basis = [b ^ v if (b >> lead) & 1 else b for b in basis]
                 basis.append(v)
         basis.sort()
-        assert len(basis) == k
+        if len(basis) != k:
+            raise InternalDegenerate(f"reduced basis of GF(2^{k}) has {len(basis)} vectors")
         return tuple(basis)
 
     def iter_subfield(self, k: int) -> Iterator[int]:
@@ -550,7 +571,8 @@ class Field:
                 j += 1
             u = 1 << j
             theta = self.trace_rel(u, k, self.degree)
-            assert self.trace_rel(theta, 1, k) == 1
+            if self.trace_rel(theta, 1, k) != 1:
+                raise InternalDegenerate(f"pushed-down witness {theta:#x} has trace 0")
             self._trace_one[k] = theta
         return self._trace_one[k]
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AmbientTooSmall, NotInSubfield, ZeroElement
+from .errors import AmbientTooSmall, InternalDegenerate, NotInSubfield, ZeroElement
 from .field import BRUTEFORCE_CAP_BITS, Field
 
 LOCATION_SUBFIELD = "subfield"
@@ -86,7 +86,8 @@ def solve_artin_schreier(field: Field, w: int, k: int) -> QuadraticRoots:
         return QuadraticRoots(())
     y = field.apply_linear(
         ("artin_schreier", k), lambda x: _artin_schreier_root(field, x, k), w)
-    assert field.square(y) ^ y == w
+    if field.square(y) ^ y != w:
+        raise InternalDegenerate(f"{y:#x} is not a root of y^2 + y = {w:#x}")
     return QuadraticRoots(tuple(sorted((y, y ^ 1))))
 
 
@@ -157,7 +158,8 @@ def c_plus_inv_decompose(field: Field, zval: int, m: int) -> QuadraticRoots:
     if not field.in_subfield(zval, m):
         raise NotInSubfield(f"{zval:#x} is not in GF(2^{m})")
     qr = solve_quadratic(field, zval, 1, 2 * m)
-    assert len(qr.roots) == 2  # trace of 1/zval^2 over GF(2^(2m)) is always 0
+    if len(qr.roots) != 2:  # trace of 1/zval^2 over GF(2^(2m)) is always 0
+        raise InternalDegenerate(f"c^2 + {zval:#x}*c + 1 has no roots in GF(2^{2 * m})")
     tr = field.trace_rel(field.inv(zval), 1, m)
     location = LOCATION_SUBFIELD if tr == 0 else LOCATION_UNITY_COSET
     return QuadraticRoots(qr.roots, location)

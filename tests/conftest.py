@@ -30,6 +30,13 @@ def f3() -> Field:
 
 
 @pytest.fixture(scope="session")
+def f4() -> Field:
+    field = Field(4)
+    field.ensure_tables()
+    return field
+
+
+@pytest.fixture(scope="session")
 def fields(f1, f2, f3) -> dict[int, Field]:
     return {1: f1, 2: f2, 3: f3}
 

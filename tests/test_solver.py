@@ -14,6 +14,19 @@ from diffspectrum.solver import (
     CASE_GENERIC_TWO,
     CASE_MU,
     CASE_NO_SOLUTION,
+    FAIL_ALPHA_ONE,
+    FAIL_ANSATZ_POLE,
+    FAIL_DELTA_ONE,
+    FAIL_LAMBDA,
+    FAIL_T_SUBFIELD,
+    FAIL_U_DEGENERATE,
+    FAIL_UNVERIFIED,
+    FAIL_Z_DENOMINATOR,
+    FAIL_Z_ZERO,
+    Classification,
+    GenericBranch,
+    GenericIntermediates,
+    MuCaseWitness,
     SolutionSet,
     classify,
     eval_derivative,
@@ -26,6 +39,7 @@ from diffspectrum.solver import (
     solve_mu_case,
     verify_solution,
 )
+from diffspectrum.subgroups import solve_t_from_T
 
 # Complete solution map for n=1 (modulus 0x13), frozen from the naive
 # exhaustive scan in oracle_naive before the solver was written.
@@ -318,6 +332,174 @@ class TestGenericCase:
                 assert len(oracle.get(b, set())) == 2
             else:
                 assert oracle.get(b, set()) == set()
+
+
+def reference_generic_intermediates(field, b):
+    """The generic chain with each branch built from its own t alone.
+
+    The reference that ``generic_intermediates``, which computes the values
+    the (t, 1/t) branches share once, must equal record for record.  It runs
+    on the library's arithmetic, like the chain it checks.
+    """
+    q = field.q
+    c = field.inv(field.sqrt(b))
+    c_q2 = field.frobenius_q(c, 2)
+    alpha = field.mul(c, c_q2)
+    beta = c ^ c_q2
+    delta = field.pow(field.div(beta, alpha), q - 1)
+    if delta == 1:
+        return GenericIntermediates(
+            b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_DELTA_ONE
+        )
+    if alpha == 1:
+        return GenericIntermediates(
+            b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_ALPHA_ONE
+        )
+
+    gamma = field.div(c, beta)
+    gamma_q = field.frobenius_q(gamma, 1)
+    gamma_q2 = field.frobenius_q(gamma, 2)
+    U = (
+        gamma
+        ^ gamma_q
+        ^ field.div(
+            field.pow(alpha, q + 1) ^ 1,
+            field.mul(delta, field.mul(field.pow(alpha, q - 1), field.square(beta))),
+        )
+    )
+    uu = U ^ field.square(U)
+    if uu == 0:
+        return GenericIntermediates(
+            b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U,
+            failure=FAIL_U_DEGENERATE,
+        )
+
+    T = field.div(1 ^ field.frobenius_q(delta, 1), field.sqrt(uu))
+    T_q = field.frobenius_q(T, 1)
+    t_pair = tuple(solve_t_from_T(field, T))
+    if not t_pair:
+        return GenericIntermediates(
+            b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
+            t_pair=t_pair, failure=FAIL_T_SUBFIELD,
+        )
+
+    A = field.div(field.mul(alpha, T) ^ T_q, alpha ^ 1)
+    branches = []
+    branch_failure = None
+    for t in t_pair:
+        t_inv = field.inv(t)
+        B1 = field.mul(gamma, t) ^ field.mul(gamma_q2, t_inv)
+        B = field.mul(gamma, t_inv) ^ field.mul(gamma_q2, t)
+        lam_num = field.frobenius_q(B1, 1) ^ B
+        lam_den = B1 ^ field.frobenius_q(B, 1)
+        if lam_num == 0 or lam_den == 0:
+            branch_failure = branch_failure or FAIL_LAMBDA
+            continue
+        lam = field.sqrt(field.div(lam_num, lam_den))
+        z_den = field.mul(lam, A ^ B1) ^ field.div(B, lam)
+        if z_den == 0:
+            branch_failure = branch_failure or FAIL_Z_DENOMINATOR
+            continue
+        z = field.div(field.square(lam) ^ 1, z_den)
+        if z == 0:
+            branch_failure = branch_failure or FAIL_Z_ZERO
+            continue
+        zlt = field.mul(field.mul(z, lam), t)
+        if zlt == 1:
+            branch_failure = branch_failure or FAIL_ANSATZ_POLE
+            continue
+        x = field.inv(1 ^ zlt)
+        if not verify_solution(field, x, b):
+            branch_failure = branch_failure or FAIL_UNVERIFIED
+            continue
+        branches.append(GenericBranch(t=t, A=A, B=B, B1=B1, lam=lam, z=z, x=x))
+
+    return GenericIntermediates(
+        b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
+        t_pair=t_pair,
+        branches=tuple(branches),
+        failure=None if len(branches) == 2 else branch_failure or FAIL_UNVERIFIED,
+    )
+
+
+def outside_gf_q2(field):
+    return [b for b in range(field.size) if not field.in_subfield(b, 2 * field.n)]
+
+
+def assert_chain_matches_reference(field, bs):
+    for b in bs:
+        chain = generic_intermediates(field, b)
+        expected = reference_generic_intermediates(field, b)
+        assert type(chain) is GenericIntermediates
+        assert all(type(branch) is GenericBranch for branch in chain.branches)
+        assert chain._asdict() == expected._asdict(), b
+
+
+# Seeded b checked against the reference at n = 4.  The sample reaches every
+# exit the chain takes at n = 4 (success and four failure tags, each at least
+# ten times); the whole field would add ~2.5 s to the suite.
+N4_REFERENCE_SAMPLES = 4000
+
+
+class TestChainMatchesReference:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_schoolbook_fields(self, n):
+        field = Field(n)
+        assert_chain_matches_reference(field, outside_gf_q2(field))
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_table_fields(self, fields, n):
+        field = fields[n]
+        assert_chain_matches_reference(field, outside_gf_q2(field))
+
+    @pytest.mark.parametrize("tables", [False, True])
+    def test_second_modulus(self, tables):
+        field = Field(2, modulus=0x11D)
+        if tables:
+            field.ensure_tables()
+        assert_chain_matches_reference(field, outside_gf_q2(field))
+
+    def test_n4_tables_sampled(self, f4):
+        rng = random.Random("chain-reference:4")
+        bs = rng.sample(outside_gf_q2(f4), N4_REFERENCE_SAMPLES)
+        assert_chain_matches_reference(f4, bs)
+
+
+@pytest.mark.parametrize(
+    "n, modulus", [(1, None), (2, None), (3, None), (4, None), (2, 0x11D)]
+)
+def test_delta_is_one_exactly_when_relative_trace_vanishes(request, n, modulus):
+    """The chain's first exit fires exactly when e1 = Tr_{4n/n}(b) is 0."""
+    field = Field(n, modulus) if modulus else request.getfixturevalue(f"f{n}")
+    mismatched = [
+        b
+        for b in outside_gf_q2(field)
+        if (generic_intermediates(field, b).failure == FAIL_DELTA_ONE)
+        != (field.trace_rel(b, n, field.degree) == 0)
+    ]
+    assert mismatched == []
+
+
+class TestRecords:
+    @pytest.mark.parametrize(
+        "record, name",
+        [
+            (Classification(CASE_NO_SOLUTION, 0), "case"),
+            (GenericIntermediates(b=2, c=3, alpha=4, beta=5), "failure"),
+            (GenericBranch(t=1, A=2, B=3, B1=4, lam=5, z=6, x=7), "x"),
+            (MuCaseWitness(z=1, w=2, T=3, t=4, x=5), "T"),
+        ],
+        ids=["Classification", "GenericIntermediates", "GenericBranch", "MuCaseWitness"],
+    )
+    def test_fields_are_read_only(self, record, name):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+
+    def test_classification_repr_matches_readme(self):
+        assert (
+            repr(classify(Field(2), 0x2))
+            == "Classification(case='GENERIC_TWO', predicted_count=2)"
+        )
 
 
 class TestSolveDispatch:

@@ -1,11 +1,17 @@
 """Unity subgroups, the three-way decomposition, and quadratic machinery."""
 
 import random
+from array import array
 
 import pytest
 
 from diffspectrum import solver
-from diffspectrum.errors import AmbientTooSmall, NotInSubfield, ZeroElement
+from diffspectrum.errors import (
+    AmbientTooSmall,
+    InternalDegenerate,
+    NotInSubfield,
+    ZeroElement,
+)
 from diffspectrum.field import Field
 from diffspectrum.subgroups import (
     LOCATION_SUBFIELD,
@@ -159,6 +165,17 @@ class TestArtinSchreier:
                 expected = tuple(sorted(preimages.get(w, ())))
                 assert solve_artin_schreier(field, w, k).roots == expected
 
+    def test_corrupt_root_table_raises(self):
+        # every root the table gives is checked, also under python -O
+        field, k = Field(2), 4
+        w = next(w for w in field.iter_subfield(k) if w and field.trace_rel(w, 1, k) == 0)
+        solve_artin_schreier(field, w, k)
+        key = ("artin_schreier", k)
+        tables = field._linear_maps[key]
+        field._linear_maps[key] = tuple(array("Q", [0]) * len(t) for t in tables)
+        with pytest.raises(InternalDegenerate):
+            solve_artin_schreier(field, w, k)
+
 
 class TestSolveQuadratic:
     def test_degenerate_u_zero(self, f1):
@@ -251,6 +268,18 @@ class TestCPlusInvDecompose:
                     assert in_subfield
                 else:
                     assert in_coset
+
+    def test_missing_roots_raise(self):
+        # c^2 + zval*c + 1 always has its roots in GF(2^(2m)); a trace table
+        # that reads 1 everywhere makes the quadratic look unsolvable
+        field, m = Field(2), 2
+        field.trace_rel(1, 1, 2 * m)
+        key = ("trace", 1, 2 * m)
+        ones = [array("Q", [1]) * len(field._linear_maps[key][0])]
+        ones += [array("Q", [0]) * len(t) for t in field._linear_maps[key][1:]]
+        field._linear_maps[key] = tuple(ones)
+        with pytest.raises(InternalDegenerate):
+            c_plus_inv_decompose(field, 1, m)
 
 
 class TestSolveTFromT:
