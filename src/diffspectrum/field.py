@@ -9,10 +9,13 @@ every derived constant the rest of the library needs:
     d           = q^3 + q^2 + q - 1   (the exponent under study)
     group_order = q^4 - 1             = (q-1)(q+1)(q^2+1)
 
-exp_table() is the one table of powers g^i of the primitive element g, and
-power_table() beside it the one table of x -> x^d: numpy arrays built once
-per field and kept on it, which the exhaustive sweeps index directly.  mul,
-div, inv, pow and the Frobenius maps take one of two paths.  After
+exp_table(), the powers g^i of the primitive element g, and power_table(),
+the map x -> x^d, are numpy arrays built once per field and kept on it.
+Both come from the same blocks of consecutive powers (_power_blocks):
+exp_table() from those of g, power_table() by scattering the powers of
+h = g^d onto those of g, so the exhaustive sweeps, which index only
+power_table(), never build the exp table.  mul, div, inv, pow and the
+Frobenius maps take one of two paths.  After
 ensure_tables() on a field of degree <= TABLE_FAST_PATH_BITS each is one
 lookup in discrete-log lists derived from the exp table, and so are square,
 sqrt and frobenius_q, which each index the lists themselves rather than call
@@ -596,25 +599,17 @@ class Field:
     def exp_table(self) -> np.ndarray:
         """Read-only uint32 array of length q^4 - 1 with exp[i] = g^i for
         the primitive element g; built once per field and shared by every
-        caller.
-
-        Viewed as a q^2 x q^2 array, row j holds g^(q^2 j) times the first
-        row g^0 .. g^(q^2 - 1).  Both vectors take q^2 scalar multiplies;
-        the products are byte-table lookups (_byte_product_tables).
+        caller.  Its blocks come from _power_blocks(g).
         """
         import numpy as np
 
         if self._exp is None:
-            g = self.primitive_element()
-            width = self.q * self.q
-            row = self._powers(g, width)
-            col = self._powers(self._mul_schoolbook(int(row[-1]), g), width)  # g^(q^2 j)
-            tables = _byte_product_tables(row, self)
-            exp = np.empty((width, width), dtype=np.uint32)
-            step = max(1, _EXP_CHUNK // width)
-            for lo in range(0, width, step):
-                exp[lo:lo + step] = _byte_products(tables, col[lo:lo + step])
-            exp = exp.reshape(-1)[:self.group_order]
+            exp = np.empty(self.size, dtype=np.uint32)
+            lo = 0
+            for block in self._power_blocks(self.primitive_element()):
+                exp[lo:lo + block.size] = block
+                lo += block.size
+            exp = exp[:self.group_order]
             exp.flags.writeable = False
             self._exp = exp
         return self._exp
@@ -623,23 +618,37 @@ class Field:
         """Read-only uint32 array of length q^4 with P[x] = x^d for every
         element x; built once per field and shared by every caller.
 
-        g^i maps to g^(i d), so P[exp[i]] = exp[i d mod (q^4 - 1)], filled
-        _EXP_CHUNK exponents at a time; P[0] = 0.
+        With h = g^d, the element g^i maps to g^(i d) = h^i, so each block
+        of _power_blocks(g) is scattered onto the matching block of
+        _power_blocks(h); no exp table is built.  Both sequences end in
+        g^(q^4 - 1) = h^(q^4 - 1) = 1, which rewrites P[1] = 1; P[0] = 0.
         """
         import numpy as np
 
         if self._power is None:
-            exp = self.exp_table()
-            order = self.group_order
+            g = self.primitive_element()
             table = np.zeros(self.size, dtype=np.uint32)
-            for lo in range(0, order, _EXP_CHUNK):
-                exponents = np.arange(lo, min(lo + _EXP_CHUNK, order), dtype=np.int64)
-                exponents *= self.d
-                exponents %= order
-                table[exp[lo:lo + _EXP_CHUNK]] = exp[exponents]
+            for x, y in zip(self._power_blocks(g), self._power_blocks(self.pow(g, self.d))):
+                table[x] = y
             table.flags.writeable = False
             self._power = table
         return self._power
+
+    def _power_blocks(self, base: Element) -> Iterator[np.ndarray]:
+        """Consecutive flat uint32 blocks of base^0 .. base^(q^4 - 1).
+
+        Viewed as a q^2 x q^2 array, row j holds base^(q^2 j) times the
+        first row base^0 .. base^(q^2 - 1).  Both vectors take q^2 scalar
+        multiplies; the products are byte-table lookups
+        (_byte_product_tables), about _EXP_CHUNK entries per block.
+        """
+        width = self.q * self.q
+        row = self._powers(base, width)
+        col = self._powers(self._mul_schoolbook(int(row[-1]), base), width)  # base^(q^2 j)
+        tables = _byte_product_tables(row, self)
+        step = max(1, _EXP_CHUNK // width)
+        for lo in range(0, width, step):
+            yield _byte_products(tables, col[lo:lo + step]).reshape(-1)
 
     def _powers(self, base: Element, count: int) -> np.ndarray:
         """uint32 array of base^0 .. base^(count - 1)."""

@@ -270,14 +270,16 @@ class TestExpTable:
             return original(row, field)
 
         monkeypatch.setattr(field_module, "_byte_product_tables", counted)
-        field = Field(4)  # one set of product tables over the q^2 = 256 first powers
+        # One set of product tables over the q^2 = 256 first powers of each
+        # sequence behind x -> x^d: g and h = g^d.
+        field = Field(4)
         first = bruteforce_counts(field)
-        assert builds == [256]
+        assert builds == [256, 256]
         assert np.array_equal(bruteforce_counts(field), first)
-        assert builds == [256]
+        assert builds == [256, 256]
         power = field.power_table()
         ddt_row(field, 0x1234, method="bruteforce")
-        assert builds == [256]
+        assert builds == [256, 256]
         assert field.power_table() is power
 
     @pytest.mark.parametrize("n,samples", [(1, None), (2, None), (3, None), (5, 256)])
@@ -293,6 +295,17 @@ class TestExpTable:
         for x in xs:
             assert int(power[x]) == field.pow(x, field.d), x
         assert not field._fast_tables
+
+    @pytest.mark.parametrize("n,modulus", [(1, None), (2, None), (3, None), (4, None),
+                                           (5, None), (2, 0x11D)])
+    def test_power_table_matches_exp_table_definition(self, n, modulus):
+        # g^i maps to g^(i d): P[exp[i]] = exp[i d mod (q^4 - 1)], P[0] = 0.
+        field = Field(n, modulus)
+        exp = field.exp_table()
+        exponents = np.arange(field.group_order, dtype=np.int64) * field.d % field.group_order
+        expected = np.zeros(field.size, dtype=np.uint32)
+        expected[exp] = exp[exponents]
+        assert np.array_equal(field.power_table(), expected)
 
     def test_power_table_is_read_only_and_built_once(self):
         field = Field(2)

@@ -34,7 +34,7 @@ from diffspectrum.spectrum import (
     verify_conjecture,
 )
 
-from oracle_naive import solution_counts
+from oracle_naive import field_pow, solution_counts
 
 # Frozen histograms, independently confirmed by the naive oracle at n = 1, 2
 # and by the vectorised sweep at n = 3, 4 (cross-checked against the additive
@@ -122,6 +122,45 @@ class TestSweepCap:
         with pytest.raises(FieldTooLarge):
             exhaustive_pass(field)
         assert field._exp is None and field._power is None
+
+
+@pytest.fixture(scope="module")
+def swept_n6():
+    """A fresh Field(6), its bruteforce histogram and the traced peak in
+    bytes of building that histogram."""
+    field = Field(6)
+    tracemalloc.start()
+    try:
+        hist = bruteforce_histogram(field)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return field, hist, peak
+
+
+class TestSweepAtCap:
+    def test_histogram_matches_formula(self, swept_n6):
+        field, hist, _ = swept_n6
+        assert field.degree == BRUTEFORCE_CAP_BITS
+        assert hist.entries == formula_histogram(6).entries
+
+    def test_peak_memory_per_element(self, swept_n6):
+        # The x^d table (4 bytes an element) and the int64 tally (8) plus
+        # chunk-sized temporaries; an exp table built on the way adds 4.
+        field, _, peak = swept_n6
+        assert peak <= 13 * field.size
+
+    def test_builds_no_exp_table(self, swept_n6):
+        field, _, _ = swept_n6
+        assert field._exp is None
+
+    def test_power_table_entries_are_d_th_powers(self, swept_n6):
+        field, _, _ = swept_n6
+        power = field.power_table()
+        rng = random.Random(6)
+        xs = [0, 1, field.size - 1, *(rng.randrange(field.size) for _ in range(64))]
+        for x in xs:
+            assert int(power[x]) == field_pow(field.modulus, x, field.d), x
 
 
 class TestFormulaHistogram:
