@@ -29,7 +29,9 @@ class NotInSubfield(GF2Error):
 
 class OutOfRange(GF2Error, ValueError):
     """An integer is outside its allowed range: an element encoding of
-    degree >= 4n, or a tower parameter n outside 1..MAX_N."""
+    degree >= 4n, a tower parameter n outside 1..MAX_N, a modulus degree
+    below 1, a negative Frobenius power, or a subfield degree or subgroup
+    order the field does not have."""
 
 
 class MalformedHex(GF2Error, ValueError):

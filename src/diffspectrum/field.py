@@ -137,11 +137,13 @@ def default_modulus(degree: int) -> int:
     coefficient sequences from the leading term down.  Degree 4 gives
     X^4 + X + 1 = 0x13.
     """
+    if degree < 1:
+        raise OutOfRange(f"a modulus needs degree >= 1, not {degree}")
     for c in range(1, 1 << degree, 2):  # even c is divisible by X
         f = (1 << degree) | c
         if is_irreducible(f):
             return f
-    raise ValueError(f"no irreducible polynomial of degree {degree}")  # pragma: no cover
+    raise InternalDegenerate(f"no irreducible polynomial of degree {degree}")  # pragma: no cover
 
 
 def _byte_tables(images: list, pack: Callable = partial(array, "Q")) -> tuple:
@@ -417,7 +419,7 @@ class Field:
     def frobenius_q(self, a: int, i: int) -> int:
         """a^(q^i) for i >= 0; composing four times is the identity."""
         if i < 0:
-            raise ValueError("Frobenius power must be nonnegative")
+            raise OutOfRange("Frobenius power must be nonnegative")
         if self._fast_tables:
             if a == 0:
                 return 0
@@ -427,7 +429,7 @@ class Field:
 
     def _check_tower(self, a: int, l: int, k: int) -> None:
         if l < 1 or k % l or self.degree % k:
-            raise ValueError(f"need a subfield tower: {l} | {k} | {self.degree}")
+            raise OutOfRange(f"need a subfield tower: {l} | {k} | {self.degree}")
         if not self.in_subfield(a, k):
             raise NotInSubfield(f"{a:#x} is not in GF(2^{k})")
 
@@ -478,7 +480,7 @@ class Field:
     def in_subfield(self, a: int, k: int) -> bool:
         """Whether a lies in the subfield GF(2^k); requires k | 4n."""
         if k < 1 or self.degree % k:
-            raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{self.degree})")
+            raise OutOfRange(f"GF(2^{k}) is not a subfield of GF(2^{self.degree})")
         return self.frobenius2(a, k) == a
 
     # -- hex codec --------------------------------------------------------
@@ -504,7 +506,7 @@ class Field:
         """GF(2)-basis of GF(2^k) inside this field, reduced so that the
         enumeration index map of iter_subfield is strictly increasing."""
         if k < 1 or self.degree % k:
-            raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{self.degree})")
+            raise OutOfRange(f"GF(2^{k}) is not a subfield of GF(2^{self.degree})")
         if k not in self._subfield_bases:
             self._subfield_bases[k] = self._compute_subfield_basis(k)
         return self._subfield_bases[k]
@@ -567,7 +569,7 @@ class Field:
         smallest such u is 2^j itself: the scan takes at most 4n steps.
         """
         if k < 1 or self.degree % k:
-            raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{self.degree})")
+            raise OutOfRange(f"GF(2^{k}) is not a subfield of GF(2^{self.degree})")
         if k not in self._trace_one:
             j = 0
             while self.trace_rel(1 << j, 1, self.degree) != 1:

@@ -14,13 +14,17 @@ Every b falls into one of four classification cases:
 
 The generic construction builds candidate solutions from a chain of
 field scalars (c, alpha, beta, gamma, delta, U, T) and a pair of
-unit-subgroup elements t.  For b outside GF(q^2) the chain can fail in a
-small number of well-defined ways (a denominator vanishing, the trace
-obstruction blocking t, or a completed candidate failing the original
-equation); each failure is reported as evidence that b has no solutions
-rather than as an error.  Membership in the two-solution family is
-decided by running the chain and verifying its output, which keeps the
-classifier exactly consistent with brute force by construction.
+unit-subgroup elements t.  For b outside GF(q^2) the chain ends in one of
+five ways: it completes with two verified roots, or it stops at the first
+of delta = 1, alpha = 1, a vanishing z denominator, a pole of the ansatz
+x = 1/(1 + z lam t), or a candidate that fails the original equation.
+Each stop is reported as evidence that b has no solutions rather than as
+an error.  The four other ways the chain could stop (U + U^2 = 0, no
+unit-subgroup t, a degenerate lam quotient, z = 0) are ruled out by the
+identities in ``generic_intermediates`` and raise InternalDegenerate.
+Membership in the two-solution family is decided by running the chain
+and verifying its output, which keeps the classifier exactly consistent
+with brute force by construction.
 """
 
 from __future__ import annotations
@@ -65,13 +69,16 @@ VARIANT_EMPTY = "empty"
 # quantity that degenerated; all of them certify "no solutions for b".
 FAIL_DELTA_ONE = "delta_is_one"
 FAIL_ALPHA_ONE = "alpha_plus_one_vanishes"
+FAIL_Z_DENOMINATOR = "z_denominator_vanishes"
+FAIL_ANSATZ_POLE = "ansatz_pole"
+FAIL_UNVERIFIED = "candidate_fails_equation"
+# The chain never returns these four: the identities in
+# generic_intermediates rule each exit out, and reaching one raises
+# InternalDegenerate.  They stay defined for tools that tally every tag.
 FAIL_U_DEGENERATE = "u_plus_u_squared_vanishes"
 FAIL_T_SUBFIELD = "t_trace_obstruction"
 FAIL_LAMBDA = "lambda_ratio_degenerate"
-FAIL_Z_DENOMINATOR = "z_denominator_vanishes"
 FAIL_Z_ZERO = "z_vanishes"
-FAIL_ANSATZ_POLE = "ansatz_pole"
-FAIL_UNVERIFIED = "candidate_fails_equation"
 
 
 def _require_element(field: Field, value: Element, name: str = "b") -> None:
@@ -286,8 +293,11 @@ class GenericIntermediates(NamedTuple):
 
     ``failure`` is None exactly when both branches completed and their
     roots verified, i.e. when b has two solutions.  On failure the
-    scalars computed before the degeneracy are retained and ``branches``
-    holds whatever branches did verify (at most one).
+    scalars computed before the chain stopped are retained and
+    ``branches`` holds the first branch if it verified and the second
+    did not.  Past the first two exits gamma^(q^2) = 1 + gamma,
+    Tr_1^n(U + U^2) = 1 and T^q = delta T with T outside GF(q);
+    ``generic_intermediates`` gives the proofs.
     """
 
     b: Element
@@ -311,29 +321,54 @@ class GenericIntermediates(NamedTuple):
 def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     """Run the explicit construction for b outside GF(q^2).
 
-    Builds c = 1/sqrt(b) and the scalar chain
+    Builds c = 1/sqrt(b), c' = c^(q^2) and the scalar chain
 
-        alpha = c^(q^2+1),  beta = c + c^(q^2),  gamma = c/beta,
+        alpha = c c',  beta = c + c',  gamma = c/beta,
         delta = (beta/alpha)^(q-1),
-        U = gamma + gamma^q + (alpha^(q+1) + 1)/(delta alpha^(q-1) beta^2),
+        U = gamma + gamma^q + (alpha^(q+1) + 1)/beta^(q+1),
         T = (1 + delta^q)/sqrt(U + U^2),
 
     then for each unit-subgroup root t of u^2 + T*u + 1 assembles
 
-        B1 = gamma t + gamma^(q^2)/t,   B  = gamma/t + gamma^(q^2) t,
-        A  = (alpha T + T^q)/(alpha + 1),
+        B1 = gamma T + 1/t,   B  = gamma T + t,
+        A  = T (alpha + delta)/(alpha + 1),
         lam = sqrt((B1^q + B)/(B1 + B^q)),
         z  = (lam^2 + 1)/(lam (A + B1) + B/lam),
         x  = 1/(1 + z lam t),
 
     and keeps the branch only if x satisfies the original equation.
-    The two roots are t and 1/t, so the second branch's B1 and B are the
-    first branch's B and B1, and its numerator B1^q + B and denominator
-    B1 + B^q under lam are the first branch's denominator and numerator:
-    they are computed once, for the first t, and swapped for the second.
-    Any vanishing denominator or failed verification stops that path
-    and is recorded in ``failure``; a fully successful run (two
-    verified branches) has ``failure is None``.
+
+    alpha and beta lie in GF(q^2), beta != 0 because b is outside
+    GF(q^2), and delta lies in mu_(q+1).  The chain obeys these
+    identities, which give the formulas above their short form:
+
+    1. gamma + gamma^(q^2) = (c + c')/beta = 1, so the paper's
+       B1 = gamma t + gamma^(q^2)/t and B = gamma/t + gamma^(q^2) t are
+       gamma T + 1/t and gamma T + t, and B1 + B = T.
+    2. delta alpha^(q-1) beta^2 = beta^(q+1), the paper's denominator in
+       U.  So U = G + K with G = gamma + gamma^q and
+       K = (alpha^(q+1) + 1)/beta^(q+1) in GF(q).
+    3. G^q = G + 1, so G is outside GF(q) and solves y^2 + y = G + G^2:
+       Tr_1^n(G + G^2) = 1, while Tr_1^n(K + K^2) = 0.  Hence
+       Tr_1^n(U + U^2) = 1 and U + U^2 != 0.
+    4. With s = sqrt(U + U^2) in GF(q), T^q = delta T, which turns the
+       paper's A = (alpha T + T^q)/(alpha + 1) into the form above.
+       As delta != 1, T is outside GF(q); and 1/T + 1/T^q = s, so
+       Tr_1^(2n)(1/T) = Tr_1^n(s) = 1 and the roots t always exist.
+    5. The lam numerator B1^q + B is the q-th power of its denominator,
+       so the quotient is (B1 + B^q)^(q-1), in mu_(q+1).  A zero
+       denominator would put T = B + B^q in GF(q).
+    6. lam^2 = 1, the only way z vanishes, means (B1 + B)^q = B1 + B,
+       i.e. T in GF(q).
+
+    The four exits these identities rule out (U + U^2 = 0, no root t, a
+    zero lam denominator, lam^2 = 1) raise InternalDegenerate.  The
+    two roots are t and 1/t, so the second branch swaps B1 and B and
+    takes 1/lam = lam^q.  The chain ends at the first branch that fails,
+    with its tag in ``failure`` (``FAIL_Z_DENOMINATOR``,
+    ``FAIL_ANSATZ_POLE`` or ``FAIL_UNVERIFIED``); before the branches it
+    can end with ``FAIL_DELTA_ONE`` or ``FAIL_ALPHA_ONE``.  A fully
+    successful run (two verified branches) has ``failure is None``.
     """
     n, q = field.n, field.q
     _require_element(field, b)
@@ -357,71 +392,51 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
         )
 
     gamma = field.div(c, beta)
-    gamma_q = field.frobenius_q(gamma, 1)
-    gamma_q2 = field.frobenius_q(gamma, 2)
     U = (
         gamma
-        ^ gamma_q
-        ^ field.div(
-            field.pow(alpha, q + 1) ^ 1,
-            field.mul(delta, field.mul(field.pow(alpha, q - 1), field.square(beta))),
-        )
+        ^ field.frobenius_q(gamma, 1)
+        ^ field.div(field.pow(alpha, q + 1) ^ 1, field.pow(beta, q + 1))
     )
     uu = U ^ field.square(U)
     if uu == 0:
-        return GenericIntermediates(
-            b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U,
-            failure=FAIL_U_DEGENERATE,
-        )
-
+        raise InternalDegenerate("U + U^2 vanished, but Tr_1^n(U + U^2) = 1")
     T = field.div(1 ^ field.frobenius_q(delta, 1), field.sqrt(uu))
-    T_q = field.frobenius_q(T, 1)
     t_pair = tuple(solve_t_from_T(field, T))
     if not t_pair:
-        return GenericIntermediates(
-            b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
-            t_pair=t_pair, failure=FAIL_T_SUBFIELD,
-        )
+        raise InternalDegenerate("t + 1/t = T has no root, but Tr_1^(2n)(1/T) = 1")
 
-    A = field.div(field.mul(alpha, T) ^ T_q, alpha ^ 1)
     t, t_inv = t_pair  # the two roots of u^2 + T*u + 1 multiply to 1
-    B1 = field.mul(gamma, t) ^ field.mul(gamma_q2, t_inv)
-    B = field.mul(gamma, t_inv) ^ field.mul(gamma_q2, t)
-    lam_num = field.frobenius_q(B1, 1) ^ B
+    gamma_T = field.mul(gamma, T)
+    B1, B = gamma_T ^ t_inv, gamma_T ^ t
     lam_den = B1 ^ field.frobenius_q(B, 1)
+    if lam_den == 0:
+        raise InternalDegenerate("B1 + B^q vanished, which puts T = B + B^q in GF(q)")
+    lam_sq = field.pow(lam_den, q - 1)
+    if lam_sq == 1:
+        raise InternalDegenerate("lam^2 = 1, which puts T = B1 + B in GF(q)")
+    lam = field.sqrt(lam_sq)
+    A = field.div(field.mul(T, alpha ^ delta), alpha ^ 1)
     branches = []
-    branch_failure = None
-    for t, B1, B, lam_num, lam_den in (
-        (t, B1, B, lam_num, lam_den),
-        (t_inv, B, B1, lam_den, lam_num),
-    ):
-        if lam_num == 0 or lam_den == 0:
-            branch_failure = branch_failure or FAIL_LAMBDA
-            continue
-        lam = field.sqrt(field.div(lam_num, lam_den))
+    failure = None
+    for t, B1, B, lam in ((t, B1, B, lam), (t_inv, B, B1, field.frobenius_q(lam, 1))):
         z_den = field.mul(lam, A ^ B1) ^ field.div(B, lam)
         if z_den == 0:
-            branch_failure = branch_failure or FAIL_Z_DENOMINATOR
-            continue
+            failure = FAIL_Z_DENOMINATOR
+            break
         z = field.div(field.square(lam) ^ 1, z_den)
-        if z == 0:
-            branch_failure = branch_failure or FAIL_Z_ZERO
-            continue
         zlt = field.mul(field.mul(z, lam), t)
         if zlt == 1:
-            branch_failure = branch_failure or FAIL_ANSATZ_POLE
-            continue
+            failure = FAIL_ANSATZ_POLE
+            break
         x = field.inv(1 ^ zlt)
         if not verify_solution(field, x, b):
-            branch_failure = branch_failure or FAIL_UNVERIFIED
-            continue
+            failure = FAIL_UNVERIFIED
+            break
         branches.append(GenericBranch(t=t, A=A, B=B, B1=B1, lam=lam, z=z, x=x))
 
     return GenericIntermediates(
         b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
-        t_pair=t_pair,
-        branches=tuple(branches),
-        failure=None if len(branches) == 2 else branch_failure or FAIL_UNVERIFIED,
+        t_pair=t_pair, branches=tuple(branches), failure=failure,
     )
 
 

@@ -22,7 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AmbientTooSmall, InternalDegenerate, NotInSubfield, ZeroElement
+from .errors import (
+    AmbientTooSmall,
+    InternalDegenerate,
+    NotInSubfield,
+    OutOfRange,
+    ZeroElement,
+)
 from .field import BRUTEFORCE_CAP_BITS, Field
 
 LOCATION_SUBFIELD = "subfield"
@@ -54,7 +60,7 @@ class QuadraticRoots:
 def mu_member(field: Field, a: int, m: int) -> bool:
     """Whether a is an m-th root of unity; m must divide q^4 - 1."""
     if m < 1 or field.group_order % m:
-        raise ValueError(f"mu_{m} is not a subgroup: {m} does not divide q^4 - 1")
+        raise OutOfRange(f"mu_{m} is not a subgroup: {m} does not divide q^4 - 1")
     return a != 0 and field.pow(a, m) == 1
 
 
@@ -79,7 +85,7 @@ def solve_artin_schreier(field: Field, w: int, k: int) -> QuadraticRoots:
     GF(2)-linear in w, so it is read from a table built once per k.
     """
     if k < 1 or field.degree % k:
-        raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{field.degree})")
+        raise OutOfRange(f"GF(2^{k}) is not a subfield of GF(2^{field.degree})")
     if not field.in_subfield(w, k):
         raise NotInSubfield(f"{w:#x} is not in GF(2^{k})")
     if field.trace_rel(w, 1, k) != 0:
@@ -127,7 +133,7 @@ def solve_quadratic(field: Field, u: int, v: int, k: int) -> QuadraticRoots:
     Otherwise the substitution x = u*y reduces to y^2 + y = v/u^2.
     """
     if k < 1 or field.degree % k:
-        raise ValueError(f"GF(2^{k}) is not a subfield of GF(2^{field.degree})")
+        raise OutOfRange(f"GF(2^{k}) is not a subfield of GF(2^{field.degree})")
     for name, val in (("u", u), ("v", v)):
         if not field.in_subfield(val, k):
             raise NotInSubfield(f"coefficient {name}={val:#x} is not in GF(2^{k})")

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+from diffspectrum import solver
 from diffspectrum.cli import (
     EXIT_BAD_INPUT,
     EXIT_BAD_MODULUS,
@@ -80,6 +81,16 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--n", "1", "--b", "0x9")
         assert code == EXIT_OK
         assert out == "case=GENERIC_TWO count=2 s2=1\n"
+
+    def test_chain_fault_exits_internal(self, capsys, monkeypatch):
+        # t + 1/t = T always has unit-subgroup roots on the chain, so a
+        # solver that finds none is a library fault, not "0 solutions"
+        monkeypatch.setattr(solver, "solve_t_from_T", lambda field, T: [])
+        code, out, err = run(capsys, "classify", "--n", "1", "--b", "0x9")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err.startswith("error: internal verification failed: ")
+        assert err.count("\n") == 1
 
     def test_nonmember_outside_subfield_reports_bit(self, capsys):
         code, out, _ = run(capsys, "classify", "--n", "1", "--b", "0x2")

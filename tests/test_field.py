@@ -7,6 +7,7 @@ import pytest
 
 import oracle_naive
 from diffspectrum import field as field_module
+from diffspectrum import subgroups
 from diffspectrum.errors import (
     DegreeMismatch,
     DivisionByZero,
@@ -534,3 +535,28 @@ class TestHexCodec:
             f1.decode_hex("bogus")
         with pytest.raises(ValueError):
             f1.decode_hex("0x10")
+
+
+# Parameters a field of degree 4 (n = 1) does not have: a negative
+# Frobenius power, a degree 3 that divides neither 4 nor the tower, and
+# the subgroup order 7, which does not divide q^4 - 1 = 15; and a modulus
+# degree below 1.
+BAD_PARAMETER_CALLS = {
+    "default_modulus": lambda f: default_modulus(0),
+    "frobenius_q": lambda f: f.frobenius_q(1, -1),
+    "trace_rel": lambda f: f.trace_rel(1, 3, 4),
+    "norm_rel": lambda f: f.norm_rel(1, 1, 3),
+    "in_subfield": lambda f: f.in_subfield(1, 3),
+    "subfield_basis": lambda f: f.subfield_basis(3),
+    "trace_one_element": lambda f: f.trace_one_element(3),
+    "mu_member": lambda f: subgroups.mu_member(f, 1, 7),
+    "solve_artin_schreier": lambda f: subgroups.solve_artin_schreier(f, 1, 3),
+    "solve_quadratic": lambda f: subgroups.solve_quadratic(f, 1, 1, 3),
+}
+
+
+@pytest.mark.parametrize("call", BAD_PARAMETER_CALLS.values(), ids=BAD_PARAMETER_CALLS)
+def test_bad_parameters_raise_library_errors(f1, call):
+    # OutOfRange is both a GF2Error and a ValueError
+    with pytest.raises(OutOfRange):
+        call(f1)

@@ -7,6 +7,7 @@ from collections import Counter
 import pytest
 
 import oracle_naive
+from diffspectrum import solver as solver_module
 from diffspectrum.errors import InternalDegenerate, PreconditionViolated
 from diffspectrum.field import Field
 from diffspectrum.solver import (
@@ -321,6 +322,7 @@ class TestGenericCase:
                 assert field.pow(branch.lam, q + 1) == 1
                 assert field.in_subfield(branch.z, n) and branch.z != 0
                 assert verify_solution(field, branch.x, b)
+            assert chain.branches[1].x == chain.branches[0].x ^ 1
 
     def test_failure_tags_are_no_solution_evidence(self, f1):
         oracle = oracle_naive.solution_sets(f1.modulus, f1.degree, f1.d)
@@ -332,6 +334,80 @@ class TestGenericCase:
                 assert len(oracle.get(b, set())) == 2
             else:
                 assert oracle.get(b, set()) == set()
+
+    def test_missing_t_roots_raise(self, f1, monkeypatch):
+        # Tr_1^(2n)(1/T) = 1 on every chain, so t + 1/t = T always has
+        # unit-subgroup roots; a solver that finds none is a library fault
+        b = N1_S2_MEMBERS[0]
+        monkeypatch.setattr(solver_module, "solve_t_from_T", lambda field, T: [])
+        with pytest.raises(InternalDegenerate):
+            generic_intermediates(f1, b)
+        with pytest.raises(InternalDegenerate):
+            classify(f1, b)
+
+
+def chain_identity_violations(field, bs):
+    """The identities the generic chain relies on, recomputed from b.
+
+    Each quantity is built here from its definition in the paper's form
+    (c, alpha, beta, delta, then gamma, U, T and the lam quotient), not
+    read from ``generic_intermediates``.  Returns (b, identity) for every
+    identity that fails.
+    """
+    n, q = field.n, field.q
+    frob = field.frobenius_q
+    violations = []
+    for b in bs:
+        c = field.inv(field.sqrt(b))
+        c_q2 = frob(c, 2)
+        alpha = field.mul(c, c_q2)
+        beta = c ^ c_q2
+        delta = field.pow(field.div(beta, alpha), q - 1)
+        gamma = field.div(c, beta)
+        u_den = field.mul(delta, field.mul(field.pow(alpha, q - 1), field.square(beta)))
+        U = gamma ^ frob(gamma, 1) ^ field.div(field.pow(alpha, q + 1) ^ 1, u_den)
+        uu = U ^ field.square(U)
+        checks = {
+            "delta alpha^(q-1) beta^2 = beta^(q+1)": u_den == field.pow(beta, q + 1),
+            "gamma^(q^2) = 1 + gamma": frob(gamma, 2) == 1 ^ gamma,
+            "Tr_1^n(U + U^2) = 1": field.trace_rel(uu, 1, n) == 1,
+        }
+        if delta != 1:
+            T = field.div(1 ^ frob(delta, 1), field.sqrt(uu))
+            t = solve_t_from_T(field, T)[0]
+            t_inv = field.inv(t)
+            B1 = field.mul(gamma, t) ^ field.mul(frob(gamma, 2), t_inv)
+            B = field.mul(gamma, t_inv) ^ field.mul(frob(gamma, 2), t)
+            lam_num = frob(B1, 1) ^ B
+            lam_den = B1 ^ frob(B, 1)
+            checks.update({
+                "T^q = delta T": frob(T, 1) == field.mul(delta, T),
+                "T outside GF(q)": not field.in_subfield(T, n),
+                "Tr_1^(2n)(1/T) = 1": field.trace_rel(field.inv(T), 1, 2 * n) == 1,
+                "lam denominator nonzero": lam_den != 0,
+                "lam numerator = denominator^q": lam_num == frob(lam_den, 1),
+            })
+        violations += [(b, name) for name, holds in checks.items() if not holds]
+    return violations
+
+
+class TestChainIdentities:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_exhaustive(self, fields, n):
+        field = fields[n]
+        assert chain_identity_violations(field, outside_gf_q2(field)) == []
+
+    @pytest.mark.parametrize("tables", [False, True])
+    def test_second_modulus(self, tables):
+        field = Field(2, modulus=0x11D)
+        if tables:
+            field.ensure_tables()
+        assert chain_identity_violations(field, outside_gf_q2(field)) == []
+
+    def test_n4_sampled(self, f4):
+        rng = random.Random("chain-identities:4")
+        bs = rng.sample(outside_gf_q2(f4), N4_REFERENCE_SAMPLES)
+        assert chain_identity_violations(f4, bs) == []
 
 
 def reference_generic_intermediates(field, b):
