@@ -57,9 +57,7 @@ from .spectrum import (
 )
 from .subgroups import (
     QuadraticRoots,
-    UnityTriple,
     c_plus_inv_decompose,
-    decompose_unity,
     mu_member,
     solve_artin_schreier,
     solve_quadratic,
@@ -93,7 +91,6 @@ __all__ = [
     "ReducibleModulus",
     "SolutionSet",
     "SpectrumHistogram",
-    "UnityTriple",
     "VerificationReport",
     "ZeroElement",
     "bruteforce_counts",
@@ -101,7 +98,6 @@ __all__ = [
     "c_plus_inv_decompose",
     "classify",
     "ddt_row",
-    "decompose_unity",
     "default_modulus",
     "eval_derivative",
     "formula_histogram",

@@ -257,15 +257,8 @@ class Field:
             raise InternalDegenerate(f"x -> x^{self.d} does not permute GF(2^{self.degree})")
 
         # Orders of the three unity subgroups mu_(q-1), mu_(q+1), mu_(q^2+1)
-        # whose (pairwise coprime) product is the full group order, plus the
-        # CRT exponents projecting onto each factor: e_i = 1 mod m_i and
-        # e_i = 0 mod the other two.
+        # whose (pairwise coprime) product is the full group order.
         self.unity_factors = (self.q - 1, self.q + 1, self.q ** 2 + 1)
-        exps = []
-        for m_i in self.unity_factors:
-            rest = self.group_order // m_i
-            exps.append(rest * pow(rest, -1, m_i) % self.group_order)
-        self.crt_exponents = tuple(exps)
 
         self._exp: np.ndarray | None = None
         self._power: np.ndarray | None = None

@@ -12,12 +12,15 @@ Every b falls into one of four classification cases:
   form a complementary pair {x, x+1}.
 * ``NO_SOLUTION`` -- everything else; the equation has no roots.
 
-The generic construction builds candidate solutions from a chain of
-field scalars (c, alpha, beta, gamma, delta, U, T) and a pair of
-unit-subgroup elements t.  For b outside GF(q^2) the chain ends in one of
-five ways: it completes with two verified roots, or it stops at the first
-of delta = 1, alpha = 1, a vanishing z denominator, a pole of the ansatz
-x = 1/(1 + z lam t), or a candidate that fails the original equation.
+The generic construction builds a candidate solution from a chain of
+field scalars (c, alpha, beta, gamma, delta, U, T) and a unit-subgroup
+element t, one of the pair (t, 1/t) that T determines.  For b outside
+GF(q^2) the chain ends in one of five ways: it completes with a verified
+root x, or it stops at the first of delta = 1, alpha = 1, a vanishing z
+denominator, a pole of the ansatz x = 1/(1 + z lam t), or a candidate
+that fails the original equation.  A completed chain yields the pair
+{x, x+1}: the left-hand side D(x) = x^d + (x+1)^d is unchanged under
+x -> x+1, so x+1 is the second root without a second branch or check.
 Each stop is reported as evidence that b has no solutions rather than as
 an error.  The four other ways the chain could stop (U + U^2 = 0, no
 unit-subgroup t, a degenerate lam quotient, z = 0) are ruled out by the
@@ -273,10 +276,11 @@ def solve_mu_case(field: Field, b: Element) -> SolutionSet:
 
 
 class GenericBranch(NamedTuple):
-    """One completed branch of the generic construction.
+    """The completed branch of the generic construction.
 
-    t is one of the two unit-subgroup roots paired with T; the remaining
-    fields are the scalars built from it, ending in the verified root x.
+    t is the first of the two unit-subgroup roots paired with T; the
+    remaining fields are the scalars built from it, ending in the verified
+    root x.
     """
 
     t: Element
@@ -291,13 +295,12 @@ class GenericBranch(NamedTuple):
 class GenericIntermediates(NamedTuple):
     """Trace of the generic construction for one b outside GF(q^2).
 
-    ``failure`` is None exactly when both branches completed and their
-    roots verified, i.e. when b has two solutions.  On failure the
-    scalars computed before the chain stopped are retained and
-    ``branches`` holds the first branch if it verified and the second
-    did not.  Past the first two exits gamma^(q^2) = 1 + gamma,
-    Tr_1^n(U + U^2) = 1 and T^q = delta T with T outside GF(q);
-    ``generic_intermediates`` gives the proofs.
+    ``failure`` is None exactly when the branch completed and its root
+    verified, i.e. when b has two solutions; ``branch`` is then the
+    completed branch and None otherwise.  On failure the scalars computed
+    before the chain stopped are retained.  Past the first two exits
+    gamma^(q^2) = 1 + gamma, Tr_1^n(U + U^2) = 1 and T^q = delta T with
+    T outside GF(q); ``generic_intermediates`` gives the proofs.
     """
 
     b: Element
@@ -309,13 +312,16 @@ class GenericIntermediates(NamedTuple):
     U: Optional[Element] = None
     T: Optional[Element] = None
     t_pair: Tuple[Element, ...] = ()
-    branches: Tuple[GenericBranch, ...] = ()
+    branch: Optional[GenericBranch] = None
     failure: Optional[str] = None
 
     @property
     def solutions(self) -> Tuple[Element, ...]:
-        """The verified roots found by the chain, in branch order."""
-        return tuple(branch.x for branch in self.branches)
+        """The two roots (x, x+1) of a completed chain, else ()."""
+        if self.branch is None:
+            return ()
+        x = self.branch.x
+        return x, x ^ 1
 
 
 def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
@@ -328,7 +334,7 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
         U = gamma + gamma^q + (alpha^(q+1) + 1)/beta^(q+1),
         T = (1 + delta^q)/sqrt(U + U^2),
 
-    then for each unit-subgroup root t of u^2 + T*u + 1 assembles
+    then for the first unit-subgroup root t of u^2 + T*u + 1 assembles
 
         B1 = gamma T + 1/t,   B  = gamma T + t,
         A  = T (alpha + delta)/(alpha + 1),
@@ -336,7 +342,8 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
         z  = (lam^2 + 1)/(lam (A + B1) + B/lam),
         x  = 1/(1 + z lam t),
 
-    and keeps the branch only if x satisfies the original equation.
+    and keeps the branch only if x satisfies the original equation.  Then
+    x+1 does too, since D(x+1) = D(x) for D(x) = x^d + (x+1)^d.
 
     alpha and beta lie in GF(q^2), beta != 0 because b is outside
     GF(q^2), and delta lies in mu_(q+1).  The chain obeys these
@@ -362,13 +369,14 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
        i.e. T in GF(q).
 
     The four exits these identities rule out (U + U^2 = 0, no root t, a
-    zero lam denominator, lam^2 = 1) raise InternalDegenerate.  The
-    two roots are t and 1/t, so the second branch swaps B1 and B and
-    takes 1/lam = lam^q.  The chain ends at the first branch that fails,
-    with its tag in ``failure`` (``FAIL_Z_DENOMINATOR``,
-    ``FAIL_ANSATZ_POLE`` or ``FAIL_UNVERIFIED``); before the branches it
-    can end with ``FAIL_DELTA_ONE`` or ``FAIL_ALPHA_ONE``.  A fully
-    successful run (two verified branches) has ``failure is None``.
+    zero lam denominator, lam^2 = 1) raise InternalDegenerate.  The root
+    1/t is not built: its branch (B1 and B swapped, 1/lam = lam^q)
+    completes exactly when this one does and then yields x+1, as a
+    comparison that builds both branches confirms for every b at n <= 5.
+    A failing branch sets ``failure`` to ``FAIL_Z_DENOMINATOR``,
+    ``FAIL_ANSATZ_POLE`` or ``FAIL_UNVERIFIED``; before the branch the
+    chain can end with ``FAIL_DELTA_ONE`` or ``FAIL_ALPHA_ONE``.  A
+    successful run has ``failure is None`` and its branch in ``branch``.
     """
     n, q = field.n, field.q
     _require_element(field, b)
@@ -416,27 +424,25 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
         raise InternalDegenerate("lam^2 = 1, which puts T = B1 + B in GF(q)")
     lam = field.sqrt(lam_sq)
     A = field.div(field.mul(T, alpha ^ delta), alpha ^ 1)
-    branches = []
-    failure = None
-    for t, B1, B, lam in ((t, B1, B, lam), (t_inv, B, B1, field.frobenius_q(lam, 1))):
-        z_den = field.mul(lam, A ^ B1) ^ field.div(B, lam)
-        if z_den == 0:
-            failure = FAIL_Z_DENOMINATOR
-            break
-        z = field.div(field.square(lam) ^ 1, z_den)
+    branch = failure = None
+    z_den = field.mul(lam, A ^ B1) ^ field.div(B, lam)
+    if z_den == 0:
+        failure = FAIL_Z_DENOMINATOR
+    else:
+        z = field.div(lam_sq ^ 1, z_den)
         zlt = field.mul(field.mul(z, lam), t)
         if zlt == 1:
             failure = FAIL_ANSATZ_POLE
-            break
-        x = field.inv(1 ^ zlt)
-        if not verify_solution(field, x, b):
-            failure = FAIL_UNVERIFIED
-            break
-        branches.append(GenericBranch(t=t, A=A, B=B, B1=B1, lam=lam, z=z, x=x))
+        else:
+            x = field.inv(1 ^ zlt)
+            if eval_derivative(field, x) != b:
+                failure = FAIL_UNVERIFIED
+            else:
+                branch = GenericBranch(t=t, A=A, B=B, B1=B1, lam=lam, z=z, x=x)
 
     return GenericIntermediates(
         b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
-        t_pair=t_pair, branches=tuple(branches), failure=failure,
+        t_pair=t_pair, branch=branch, failure=failure,
     )
 
 
@@ -447,11 +453,10 @@ def is_in_s2(field: Field, b: Element) -> bool:
 
 
 def solve_generic(field: Field, b: Element) -> SolutionSet:
-    """The two roots for a generic b, or the empty set.
+    """The two roots {x, x+1} for a generic b, or the empty set.
 
-    The two completed branches always emit the complementary pair
-    {x, x+1}, which is asserted via the duplicate check in
-    ``SolutionSet.explicit`` plus the count check in ``_solution_set``.
+    x comes from the chain's completed branch, verified there; x+1 has
+    the same value of x^d + (x+1)^d, so it needs no second check.
     """
     classification, chain = _classify_with_chain(field, b)
     if classification.case != CASE_GENERIC_TWO:

@@ -11,9 +11,12 @@ The enumeration, the formula path of ``ddt_row`` and the verifier share
 one per-b pass, which runs the generic chain once per b and switches the
 caller's field to table arithmetic (``Field.ensure_tables``).  The formula
 path runs it once per field: the a = 1 row it relabels is kept on the field.
+The verifier builds no per-b solution set for the two-solution family: it
+takes the pair {x, x+1} from the chain's record, and re-verifies every
+listed root in chunked numpy passes over the field's x^d table.
 
 numpy is imported on first use, inside the functions that build or tally
-arrays (the tally, the histogram and ``ddt_row``), so
+arrays (the tally, the histogram, ``ddt_row`` and the verifier), so
 importing this module, as the CLI does for every command, does not load it.
 
 Exhaustive passes are capped at fields of ``BRUTEFORCE_CAP_BITS`` = 24
@@ -26,6 +29,7 @@ from __future__ import annotations
 import json
 import operator
 import time
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
@@ -39,12 +43,12 @@ from .errors import (
 from .field import BRUTEFORCE_CAP_BITS, _EXP_CHUNK, Element, Field, _vec_mul_const
 from .solver import (
     CASE_GENERIC_TWO,
+    CASE_NO_SOLUTION,
     Classification,
     GenericIntermediates,
     _classify_with_chain,
     _solution_set,
     eval_derivative,
-    verify_solution,
 )
 
 if TYPE_CHECKING:
@@ -351,46 +355,67 @@ class VerificationReport:
 def _check_all(
     field: Field, counts: np.ndarray
 ) -> Tuple[Dict[str, List[dict]], int]:
-    """Classify, solve, and re-verify every b against the tally.
+    """Classify every b, check its predicted count against the tally, and
+    re-verify every root the solver lists.
 
-    One chain run per b serves both the prediction and the solution set.
-    ``_solution_set`` raises unless the set has the predicted size, which
-    has already been checked against the tally.
+    One chain run per b serves the prediction, and a completed chain's
+    root x gives the generic pair {x, x+1} directly; only b = 1 and the
+    mu case build a ``SolutionSet``, which raises unless it has the
+    predicted size.  The tally is read through a memoryview, which yields
+    Python ints.  The roots are collected with their b in fixed-width
+    buffers and re-verified at the end, _EXP_CHUNK at a time, as
+    P[x] + P[x+1] = b on ``Field.power_table()`` P, which the tally has
+    already built.  Rows come out in ascending b within each tag, and the
+    roots of one b in the order the solution set lists them.
     """
+    import numpy as np
+
     mismatches: Dict[str, List[dict]] = {}
     s2_seen = 0
+    actual_counts = memoryview(counts)  # indexes to Python ints, without a copy
+    root_b = array("I")
+    root_x = array("I")
 
     def record(tag: str, row: dict) -> None:
         mismatches.setdefault(tag, []).append(row)
 
     for b, classification, chain in _classified(field):
-        if classification.case == CASE_GENERIC_TWO:
-            s2_seen += 1
-        actual = int(counts[b])
-        if classification.predicted_count != actual:
+        case, predicted = classification
+        generic = case == CASE_GENERIC_TWO
+        s2_seen += generic
+        actual = actual_counts[b]
+        if predicted != actual:
             record(
-                classification.case,
-                {
-                    "b": field.encode_hex(b),
-                    "predicted": classification.predicted_count,
-                    "actual": actual,
-                },
+                case,
+                {"b": field.encode_hex(b), "predicted": predicted, "actual": actual},
             )
             continue
-        try:
-            solutions = _solution_set(field, b, classification, chain)
-        except InternalDegenerate as exc:
+        if generic:
+            low = chain.branch.x & ~1  # the pair {x, x+1}, sorted
+            root_b.extend((b, b))
+            root_x.extend((low, low | 1))
+        elif case != CASE_NO_SOLUTION:  # b = 1 or the mu case
+            try:
+                solutions = _solution_set(field, b, classification, chain)
+            except InternalDegenerate as exc:
+                record(case, {"b": field.encode_hex(b), "error": str(exc)})
+                continue
+            root_x.extend(solutions)
+            root_b.extend([b] * len(solutions))
+
+    power = field.power_table()
+    all_x = np.frombuffer(root_x, dtype=np.uint32)
+    all_b = np.frombuffer(root_b, dtype=np.uint32)
+    for lo in range(0, len(root_x), _EXP_CHUNK):
+        xs = all_x[lo:lo + _EXP_CHUNK]
+        residue = power[xs]
+        residue ^= power[xs ^ 1]
+        residue ^= all_b[lo:lo + _EXP_CHUNK]  # zero where x solves
+        for i in (np.flatnonzero(residue) + lo).tolist():
             record(
-                classification.case,
-                {"b": field.encode_hex(b), "error": str(exc)},
+                "root_verification",
+                {"b": field.encode_hex(root_b[i]), "x": field.encode_hex(root_x[i])},
             )
-            continue
-        for x in solutions:
-            if not verify_solution(field, x, b):
-                record(
-                    "root_verification",
-                    {"b": field.encode_hex(b), "x": field.encode_hex(x)},
-                )
     return mismatches, s2_seen
 
 
@@ -398,10 +423,10 @@ def verify_conjecture(field: Field) -> VerificationReport:
     """Exhaustively cross-check the solver against the brute-force oracle.
 
     Four phases: the exhaustive tally, the closed-form histogram, a per-b
-    classify/solve/re-verify pass, and the two-solution-family count
-    comparison.  The tally is the chunked half-pair pass of
-    ``bruteforce_counts``; the per-b pass runs one chain per b, serially,
-    and switches ``field`` to table arithmetic.
+    classify/solve pass with one batched re-verification of every root,
+    and the two-solution-family count comparison.  The tally is the
+    chunked half-pair pass of ``bruteforce_counts``; the per-b pass runs
+    one chain per b, serially, and switches ``field`` to table arithmetic.
     """
     _require_within_cap(field, "exhaustive verification")
     elapsed: Dict[str, float] = {}

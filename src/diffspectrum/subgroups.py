@@ -36,17 +36,6 @@ LOCATION_UNITY_COSET = "unity_coset"
 
 
 @dataclass(frozen=True)
-class UnityTriple:
-    """Unique factorization of a nonzero element over the three subgroups.
-
-    lam is the mu_(q+1) component (named for lambda, which Python reserves).
-    """
-    z: int
-    lam: int
-    t: int
-
-
-@dataclass(frozen=True)
 class QuadraticRoots:
     """Roots of a quadratic, sorted ascending; a repeated root appears twice.
 
@@ -62,19 +51,6 @@ def mu_member(field: Field, a: int, m: int) -> bool:
     if m < 1 or field.group_order % m:
         raise OutOfRange(f"mu_{m} is not a subgroup: {m} does not divide q^4 - 1")
     return a != 0 and field.pow(a, m) == 1
-
-
-def decompose_unity(field: Field, x: int) -> UnityTriple:
-    """Split nonzero x into its mu_(q-1) x mu_(q+1) x mu_(q^2+1) components.
-
-    Uses the CRT exponents precomputed on the field: raising x to e_i kills
-    the other two components and fixes the i-th, and the exponents sum to 1
-    modulo the group order, so z * lam * t == x.
-    """
-    if x == 0:
-        raise ZeroElement("0 has no unity decomposition")
-    e1, e2, e3 = field.crt_exponents
-    return UnityTriple(field.pow(x, e1), field.pow(x, e2), field.pow(x, e3))
 
 
 def solve_artin_schreier(field: Field, w: int, k: int) -> QuadraticRoots:

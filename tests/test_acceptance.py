@@ -152,10 +152,10 @@ def test_criterion_7_chain_intermediates_satisfy_structural_identities(fields, n
         assert field.frobenius_q(chain.T, 1) == field.mul(chain.delta, chain.T)
         uu = field.add(chain.U, field.square(chain.U))
         assert field.in_subfield(uu, n)
-        for branch in chain.branches:
-            assert field.pow(branch.lam, q + 1) == 1
-            assert field.pow(branch.z, q - 1) == 1
-            assert field.pow(branch.t, q * q + 1) == 1
+        branch = chain.branch
+        assert field.pow(branch.lam, q + 1) == 1
+        assert field.pow(branch.z, q - 1) == 1
+        assert field.pow(branch.t, q * q + 1) == 1
     assert handled == EXPECTED_S2_SIZES[n]
 
 

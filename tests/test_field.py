@@ -39,10 +39,12 @@ EXPECTED_MODULI = {
 def _pow_exponents(field: Field) -> list[int]:
     """Exponents on which pow's two paths must agree: the edges 0, 1, -1 and
     the group order, every Frobenius power 2^j, q -+ 1, d and the CRT
-    projections onto the three unity subgroups."""
+    projections onto the three unity subgroups (e = 1 mod m and e = 0 mod
+    the other two orders m of ``Field.unity_factors``)."""
+    crt = [rest * pow(rest, -1, m) % field.group_order
+           for m in field.unity_factors for rest in [field.group_order // m]]
     return [0, 1, -1, *(1 << j for j in range(field.degree + 1)),
-            field.q - 1, field.q + 1, field.d, field.group_order,
-            *field.crt_exponents]
+            field.q - 1, field.q + 1, field.d, field.group_order, *crt]
 
 
 class TestModuli:

@@ -3,6 +3,7 @@
 import random
 import time
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -317,12 +318,25 @@ class TestGenericCase:
             assert field.in_subfield(uu, n)
             assert field.frobenius_q(chain.T, 1) == field.mul(chain.delta, chain.T)
             assert len(chain.t_pair) == 2
-            for branch in chain.branches:
-                assert field.pow(branch.t, q * q + 1) == 1
-                assert field.pow(branch.lam, q + 1) == 1
-                assert field.in_subfield(branch.z, n) and branch.z != 0
-                assert verify_solution(field, branch.x, b)
-            assert chain.branches[1].x == chain.branches[0].x ^ 1
+            branch = chain.branch
+            assert branch.t == chain.t_pair[0]
+            assert field.pow(branch.t, q * q + 1) == 1
+            assert field.pow(branch.lam, q + 1) == 1
+            assert field.in_subfield(branch.z, n) and branch.z != 0
+            assert chain.solutions == (branch.x, branch.x ^ 1)
+            for x in chain.solutions:
+                assert verify_solution(field, x, b)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_failed_chain_has_no_branch(self, fields, n):
+        field = fields[n]
+        failed = [
+            chain
+            for chain in map(partial(generic_intermediates, field), outside_gf_q2(field))
+            if chain.failure is not None
+        ]
+        assert failed
+        assert all(chain.branch is None and chain.solutions == () for chain in failed)
 
     def test_failure_tags_are_no_solution_evidence(self, f1):
         oracle = oracle_naive.solution_sets(f1.modulus, f1.degree, f1.d)
@@ -413,9 +427,13 @@ class TestChainIdentities:
 def reference_generic_intermediates(field, b):
     """The generic chain with each branch built from its own t alone.
 
-    The reference that ``generic_intermediates``, which computes the values
-    the (t, 1/t) branches share once, must equal record for record.  It runs
-    on the library's arithmetic, like the chain it checks.
+    Returns (chain, second).  ``chain`` is the record that
+    ``generic_intermediates``, which computes the values the (t, 1/t)
+    branches share once and builds only the branch of t, must equal
+    record for record; ``second`` is the branch of 1/t (a GenericBranch,
+    or the tag where it failed), which the library never builds, and is
+    None when the chain stopped before its branches.  It runs on the
+    library's arithmetic, like the chain it checks.
     """
     q = field.q
     c = field.inv(field.sqrt(b))
@@ -426,11 +444,11 @@ def reference_generic_intermediates(field, b):
     if delta == 1:
         return GenericIntermediates(
             b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_DELTA_ONE
-        )
+        ), None
     if alpha == 1:
         return GenericIntermediates(
             b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_ALPHA_ONE
-        )
+        ), None
 
     gamma = field.div(c, beta)
     gamma_q = field.frobenius_q(gamma, 1)
@@ -448,7 +466,7 @@ def reference_generic_intermediates(field, b):
         return GenericIntermediates(
             b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U,
             failure=FAIL_U_DEGENERATE,
-        )
+        ), None
 
     T = field.div(1 ^ field.frobenius_q(delta, 1), field.sqrt(uu))
     T_q = field.frobenius_q(T, 1)
@@ -457,45 +475,41 @@ def reference_generic_intermediates(field, b):
         return GenericIntermediates(
             b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
             t_pair=t_pair, failure=FAIL_T_SUBFIELD,
-        )
+        ), None
 
     A = field.div(field.mul(alpha, T) ^ T_q, alpha ^ 1)
-    branches = []
-    branch_failure = None
-    for t in t_pair:
+
+    def branch_of(t):
         t_inv = field.inv(t)
         B1 = field.mul(gamma, t) ^ field.mul(gamma_q2, t_inv)
         B = field.mul(gamma, t_inv) ^ field.mul(gamma_q2, t)
         lam_num = field.frobenius_q(B1, 1) ^ B
         lam_den = B1 ^ field.frobenius_q(B, 1)
         if lam_num == 0 or lam_den == 0:
-            branch_failure = branch_failure or FAIL_LAMBDA
-            continue
+            return FAIL_LAMBDA
         lam = field.sqrt(field.div(lam_num, lam_den))
         z_den = field.mul(lam, A ^ B1) ^ field.div(B, lam)
         if z_den == 0:
-            branch_failure = branch_failure or FAIL_Z_DENOMINATOR
-            continue
+            return FAIL_Z_DENOMINATOR
         z = field.div(field.square(lam) ^ 1, z_den)
         if z == 0:
-            branch_failure = branch_failure or FAIL_Z_ZERO
-            continue
+            return FAIL_Z_ZERO
         zlt = field.mul(field.mul(z, lam), t)
         if zlt == 1:
-            branch_failure = branch_failure or FAIL_ANSATZ_POLE
-            continue
+            return FAIL_ANSATZ_POLE
         x = field.inv(1 ^ zlt)
         if not verify_solution(field, x, b):
-            branch_failure = branch_failure or FAIL_UNVERIFIED
-            continue
-        branches.append(GenericBranch(t=t, A=A, B=B, B1=B1, lam=lam, z=z, x=x))
+            return FAIL_UNVERIFIED
+        return GenericBranch(t=t, A=A, B=B, B1=B1, lam=lam, z=z, x=x)
 
+    first, second = (branch_of(t) for t in t_pair)
+    completed = isinstance(first, GenericBranch)
     return GenericIntermediates(
         b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
         t_pair=t_pair,
-        branches=tuple(branches),
-        failure=None if len(branches) == 2 else branch_failure or FAIL_UNVERIFIED,
-    )
+        branch=first if completed else None,
+        failure=None if completed else first,
+    ), second
 
 
 def outside_gf_q2(field):
@@ -503,12 +517,17 @@ def outside_gf_q2(field):
 
 
 def assert_chain_matches_reference(field, bs):
+    """The library's branch and tag equal the reference's first branch, and
+    whenever that completes, the branch of 1/t completes with root x + 1."""
     for b in bs:
         chain = generic_intermediates(field, b)
-        expected = reference_generic_intermediates(field, b)
+        expected, second = reference_generic_intermediates(field, b)
         assert type(chain) is GenericIntermediates
-        assert all(type(branch) is GenericBranch for branch in chain.branches)
+        assert chain.branch is None or type(chain.branch) is GenericBranch
         assert chain._asdict() == expected._asdict(), b
+        if chain.failure is None:
+            assert type(second) is GenericBranch, (b, second)
+            assert second.x == chain.branch.x ^ 1, b
 
 
 # Seeded b checked against the reference at n = 4.  The sample reaches every

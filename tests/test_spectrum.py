@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import tracemalloc
@@ -13,12 +14,20 @@ import pytest
 from diffspectrum import solver
 from diffspectrum.errors import (
     FieldTooLarge,
+    InternalDegenerate,
     OutOfRange,
     PreconditionViolated,
     ZeroElement,
 )
 from diffspectrum.field import Field
-from diffspectrum.solver import CASE_GENERIC_TWO, classify, solve
+from diffspectrum.solver import (
+    CASE_GENERIC_TWO,
+    CASE_MU,
+    CASE_NO_SOLUTION,
+    FAIL_UNVERIFIED,
+    classify,
+    solve,
+)
 from diffspectrum.spectrum import (
     BRUTEFORCE_CAP_BITS,
     METHOD_BRUTEFORCE,
@@ -45,6 +54,16 @@ EXPECTED_HISTOGRAMS = {
     3: {64: 1, 56: 8, 2: 1792, 0: 2295},
     4: {256: 1, 240: 16, 2: 30720, 0: 34799},
 }
+
+# The first 16 hex digits of the SHA-256 of
+# verify_conjecture(Field(n, modulus)).to_json(): the report's bytes, pinned.
+VERIFY_JSON_DIGESTS = [
+    (1, None, "bce084d3b2edc2f6"),
+    (2, None, "6f727695210b2508"),
+    (3, None, "16ab23805b7459d7"),
+    (4, None, "c7d4c39c21f8b42f"),
+    (2, 0x11D, "70e75d7ecef3649a"),
+]
 
 
 class TestEvalDerivative:
@@ -420,6 +439,52 @@ class TestVerifyConjecture:
         outside = [b for b in range(field.size) if not field.in_subfield(b, 2 * field.n)]
         assert chain_runs == Counter(outside)
         assert len(on_tables) == len(outside) and all(on_tables)
+
+    @pytest.mark.parametrize("n, modulus, digest", VERIFY_JSON_DIGESTS)
+    def test_json_bytes_pinned(self, request, n, modulus, digest):
+        field = Field(n, modulus) if modulus else request.getfixturevalue(f"f{n}")
+        payload = verify_conjecture(field).to_json().encode()
+        assert hashlib.sha256(payload).hexdigest()[:16] == digest
+
+    def test_injected_faults_are_reported(self, f2, monkeypatch):
+        counts = bruteforce_counts(f2)
+        members = [b for b in range(f2.size) if counts[b] == 2]
+        mu = [b for b in range(2, f2.size) if counts[b] == f2.q**2 - f2.q]
+        wrong_root = {members[40]: 1, members[7]: 0}  # b: the x the chain lists
+        mispredicted = {members[60], members[3]}  # the chain fails on a member
+        broken_mu = mu[1]  # the mu-case construction raises
+        chain_of = solver.generic_intermediates
+        solve_mu = solver.solve_mu_case
+
+        def faulty_chain(field, b):
+            chain = chain_of(field, b)
+            if b in wrong_root:
+                return chain._replace(branch=chain.branch._replace(x=wrong_root[b]))
+            if b in mispredicted:
+                return chain._replace(branch=None, failure=FAIL_UNVERIFIED)
+            return chain
+
+        def faulty_mu(field, b):
+            if b == broken_mu:
+                raise InternalDegenerate("injected")
+            return solve_mu(field, b)
+
+        monkeypatch.setattr(solver, "generic_intermediates", faulty_chain)
+        monkeypatch.setattr(solver, "solve_mu_case", faulty_mu)
+        report = verify_conjecture(f2)
+        hexed = f2.encode_hex
+        assert report.passed is False
+        # D(0) = D(1) = 1, so neither root solves; rows ascend in b, then in x
+        assert report.mismatches == {
+            "root_verification": [
+                {"b": hexed(b), "x": hexed(x)} for b in sorted(wrong_root) for x in (0, 1)
+            ],
+            CASE_NO_SOLUTION: [
+                {"b": hexed(b), "predicted": 0, "actual": 2} for b in sorted(mispredicted)
+            ],
+            CASE_MU: [{"b": hexed(broken_mu), "error": "injected"}],
+        }
+        assert report.s2_enumerated_count == len(members) - len(mispredicted)
 
     def test_alternate_modulus_passes(self):
         field = Field(2, modulus=0x11D)

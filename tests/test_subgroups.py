@@ -1,4 +1,4 @@
-"""Unity subgroups, the three-way decomposition, and quadratic machinery."""
+"""Unity subgroups and the quadratic machinery."""
 
 import random
 from array import array
@@ -17,7 +17,6 @@ from diffspectrum.subgroups import (
     LOCATION_SUBFIELD,
     LOCATION_UNITY_COSET,
     c_plus_inv_decompose,
-    decompose_unity,
     mu_member,
     solve_artin_schreier,
     solve_quadratic,
@@ -53,56 +52,6 @@ class TestMuMember:
         expected = {a for a in f2.iter_subfield(f2.n) if a != 0}
         got = {a for a in range(1 << f2.degree) if mu_member(f2, a, q - 1)}
         assert got == expected
-
-
-class TestDecomposeUnity:
-    def test_identity(self, f2):
-        triple = decompose_unity(f2, 1)
-        assert (triple.z, triple.lam, triple.t) == (1, 1, 1)
-
-    def test_zero_rejected(self, f2):
-        with pytest.raises(ZeroElement):
-            decompose_unity(f2, 0)
-
-    def test_gf_q_star_elements_are_pure_z(self, f2):
-        for x in f2.iter_subfield(f2.n):
-            if x == 0:
-                continue
-            triple = decompose_unity(f2, x)
-            assert (triple.z, triple.lam, triple.t) == (x, 1, 1)
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_roundtrip_and_memberships_exhaustive(self, fields, n):
-        field = fields[n]
-        q = field.q
-        for x in range(1, 1 << field.degree):
-            triple = decompose_unity(field, x)
-            assert mu_member(field, triple.z, q - 1)
-            assert mu_member(field, triple.lam, q + 1)
-            assert mu_member(field, triple.t, q * q + 1)
-            assert field.mul(field.mul(triple.z, triple.lam), triple.t) == x
-
-    def test_roundtrip_random_n3(self, f3):
-        rng = random.Random(42)
-        for _ in range(10_000):
-            x = rng.randrange(1, 1 << f3.degree)
-            triple = decompose_unity(f3, x)
-            assert field_product(f3, triple) == x
-
-    @pytest.mark.parametrize("n", [1, 2])
-    def test_decomposition_is_unique(self, fields, n):
-        # the component map is injective because the subgroup orders are coprime
-        field = fields[n]
-        seen = set()
-        for x in range(1, 1 << field.degree):
-            triple = decompose_unity(field, x)
-            key = (triple.z, triple.lam, triple.t)
-            assert key not in seen
-            seen.add(key)
-
-
-def field_product(field, triple):
-    return field.mul(field.mul(triple.z, triple.lam), triple.t)
 
 
 class TestArtinSchreier:
