@@ -14,18 +14,18 @@ the map x -> x^d, are numpy arrays built once per field and kept on it.
 Both come from the same blocks of consecutive powers (_power_blocks):
 exp_table() from those of g, power_table() by scattering the powers of
 h = g^d onto those of g, so the exhaustive sweeps, which index only
-power_table(), never build the exp table.  mul, div, inv, pow and the
-Frobenius maps take one of two paths.  After
-ensure_tables() on a field of degree <= TABLE_FAST_PATH_BITS each is one
-lookup in discrete-log lists derived from the exp table, and so are square,
-sqrt and frobenius_q, which each index the lists themselves rather than call
-mul or frobenius2; in_subfield goes through frobenius2 and takes it too.
-Otherwise mul is a schoolbook shift-and-reduce, square calls it directly,
-inv is extended Euclid, div is their composition, and pow(a, e), which also
-serves a^(2^j) and so sqrt and frobenius_q, multiplies the Frobenius images
-a^(2^i) over the set bits i of e.  Each image is one lookup per byte of a in
-a GF(2)-linear table (apply_linear): ceil(4n/8) byte tables of up to 256
-entries for each bit i, built once per field when a bit >= i is first used.
+power_table(), never build the exp table; power_table() built after
+exp_table() reuses it for the powers of g.  mul, inv, pow and frobenius2
+take one of two paths.  After ensure_tables() on a field of degree
+<= TABLE_FAST_PATH_BITS each is one lookup in discrete-log lists derived
+from the exp table; those lists also carry solver's generic chain, which
+indexes them itself.  Otherwise mul is a schoolbook shift-and-reduce, inv
+is extended Euclid, and pow(a, e), which also serves frobenius2, multiplies
+the Frobenius images a^(2^i) over the set bits i of e.  Each image is one
+lookup per byte of a in a GF(2)-linear table (apply_linear): ceil(4n/8)
+byte tables of up to 256 entries for each bit i, built once per field when
+a bit >= i is first used.  On either path div is mul(a, inv(b)), square is
+schoolbook, and sqrt, frobenius_q and in_subfield go through frobenius2.
 
 numpy is imported only inside the functions that build arrays: exp_table(),
 power_table(), ensure_tables() and the byte-product helpers behind them and
@@ -62,11 +62,12 @@ Element = int
 # Degree cap: keeps q^4 - 1 within 64 bits so encodings stay portable.
 MAX_N = 15
 
-# After ensure_tables(), mul/pow/inv index the log tables up to this field
-# degree.  Beyond it ensure_tables() does nothing, since two Python lists of
-# 2^24 ints take seconds and over a gigabyte to build; there, and before
-# ensure_tables(), mul and inv are schoolbook and pow multiplies Frobenius
-# table lookups (up to ceil(4n/8) * 256 entries per exponent bit used).
+# After ensure_tables(), mul/pow/inv/frobenius2 and solver's generic chain
+# index the log tables up to this field degree.  Beyond it ensure_tables()
+# does nothing, since two Python lists of 2^24 ints take seconds and over a
+# gigabyte to build; there, and before ensure_tables(), mul and inv are
+# schoolbook and pow multiplies Frobenius table lookups (up to
+# ceil(4n/8) * 256 entries per exponent bit used).
 TABLE_FAST_PATH_BITS = 20
 
 # Exhaustive passes over every element run only on fields of at most this
@@ -312,11 +313,6 @@ class Field:
         return r
 
     def square(self, a: int) -> int:
-        if self._fast_tables:
-            if a == 0:
-                return 0
-            exp, log = self._tables
-            return exp[(log[a] << 1) % self.group_order]
         return self._mul_schoolbook(a, a)
 
     def inv(self, a: int) -> int:
@@ -341,13 +337,6 @@ class Field:
 
     def div(self, a: int, b: int) -> int:
         """Quotient a / b; raises DivisionByZero when b is 0."""
-        if self._fast_tables:
-            if b == 0:
-                raise DivisionByZero("0 has no multiplicative inverse")
-            if a == 0:
-                return 0
-            exp, log = self._tables
-            return exp[(log[a] - log[b]) % self.group_order]
         return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
@@ -391,11 +380,6 @@ class Field:
 
     def sqrt(self, a: int) -> int:
         """The unique square root: squaring is a bijection in characteristic 2."""
-        if self._fast_tables:
-            if a == 0:
-                return 0
-            exp, log = self._tables
-            return exp[(log[a] << (self.degree - 1)) % self.group_order]
         return self.frobenius2(a, self.degree - 1)
 
     # -- Frobenius, trace, norm ------------------------------------------
@@ -413,11 +397,6 @@ class Field:
         """a^(q^i) for i >= 0; composing four times is the identity."""
         if i < 0:
             raise OutOfRange("Frobenius power must be nonnegative")
-        if self._fast_tables:
-            if a == 0:
-                return 0
-            exp, log = self._tables
-            return exp[(log[a] << (self.n * i % self.degree)) % self.group_order]
         return self.frobenius2(a, self.n * i % self.degree)
 
     def _check_tower(self, a: int, l: int, k: int) -> None:
@@ -614,17 +593,23 @@ class Field:
         element x; built once per field and shared by every caller.
 
         With h = g^d, the element g^i maps to g^(i d) = h^i, so each block
-        of _power_blocks(g) is scattered onto the matching block of
-        _power_blocks(h); no exp table is built.  Both sequences end in
-        g^(q^4 - 1) = h^(q^4 - 1) = 1, which rewrites P[1] = 1; P[0] = 0.
+        of _power_blocks(h) is scattered onto the matching powers of g: a
+        slice of the exp table once exp_table() has run, else the matching
+        block of _power_blocks(g), which builds no exp table.  The powers
+        of h run to h^(q^4 - 1) = 1, one past the end of the exp table, and
+        that last one only rewrites P[1] = 1; P[0] = 0.
         """
         import numpy as np
 
         if self._power is None:
             g = self.primitive_element()
+            g_blocks = self._power_blocks(g) if self._exp is None else None
             table = np.zeros(self.size, dtype=np.uint32)
-            for x, y in zip(self._power_blocks(g), self._power_blocks(self.pow(g, self.d))):
-                table[x] = y
+            lo = 0
+            for y in self._power_blocks(self.pow(g, self.d)):
+                x = self._exp[lo:lo + y.size] if g_blocks is None else next(g_blocks)
+                table[x] = y[:x.size]
+                lo += y.size
             table.flags.writeable = False
             self._power = table
         return self._power
@@ -657,7 +642,8 @@ class Field:
         return out
 
     def ensure_tables(self) -> None:
-        """Switch scalar mul/pow/inv to discrete-log tables (idempotent).
+        """Switch scalar mul/pow/inv/frobenius2 to discrete-log tables, and
+        solver.generic_intermediates to its exponent form (idempotent).
 
         Only fields of degree <= TABLE_FAST_PATH_BITS switch: their exp and
         log lists come from exp_table(), log by one scatter (log[0] is a

@@ -28,6 +28,14 @@ identities in ``generic_intermediates`` and raise InternalDegenerate.
 Membership in the two-solution family is decided by running the chain
 and verifying its output, which keeps the classifier exactly consistent
 with brute force by construction.
+
+The chain has two forms with one result.  On a field with log tables
+(``Field.ensure_tables``, which only the whole-field passes of
+``spectrum`` call) it runs on the discrete logs of its scalars, where
+every step but a sum is index arithmetic modulo q^4 - 1.  Every other
+field runs it on ``Field`` methods, which need no table of q^4 entries:
+every single-b query, every CLI call and every n >= 6.  Both forms return
+equal records, take the same exits and raise the same errors.
 """
 
 from __future__ import annotations
@@ -89,6 +97,13 @@ def _require_element(field: Field, value: Element, name: str = "b") -> None:
         raise PreconditionViolated(
             f"{name} = {value:#x} is outside the field of degree {field.degree}"
         )
+
+
+def _inside_gf_q2(field: Field, b: Element) -> str:
+    return (
+        f"{field.encode_hex(b)} lies in GF(q^2); the generic construction "
+        "requires b outside that subfield"
+    )
 
 
 def eval_derivative(field: Field, x: Element) -> Element:
@@ -377,14 +392,30 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     ``FAIL_ANSATZ_POLE`` or ``FAIL_UNVERIFIED``; before the branch the
     chain can end with ``FAIL_DELTA_ONE`` or ``FAIL_ALPHA_ONE``.  A
     successful run has ``failure is None`` and its branch in ``branch``.
+
+    On a field with log tables the chain runs on exponents
+    (``_generic_on_logs``).  With l_s = log_g s modulo N = q^4 - 1 for a
+    nonzero scalar s, and h = 2^(4n-1), the inverse of 2 modulo N:
+
+        l_c = -h l_b,   l_c' = q^2 l_c,   l_alpha = l_c + l_c',
+        l_delta = (q-1)(l_beta - l_alpha),   l_gamma = l_c - l_beta,
+        l_T = l_(1 + delta^q) - h l_(U + U^2),
+        l_lam = h (q-1) l_(B1 + B^q),   l_z = l_(lam^2 + 1) - l_(z den),
+        l_x = -l_(1 + z lam t),   D(x) = g^(d l_x) + g^(d l_(x+1)).
+
+    The exits are l_delta = 0 and l_alpha = 0, b in GF(q^2) is
+    l_b = 0 modulo q^2 + 1, and every sum of scalars costs one exp
+    lookup per term and one log lookup.  This form serves the whole-field
+    passes of ``spectrum``, which run it for every b; every other field
+    keeps the ``Field``-method form below, which needs no tables.  Both
+    return equal records.
     """
-    n, q = field.n, field.q
     _require_element(field, b)
-    if field.in_subfield(b, 2 * n):
-        raise PreconditionViolated(
-            f"{field.encode_hex(b)} lies in GF(q^2); the generic construction "
-            "requires b outside that subfield"
-        )
+    if field._fast_tables:
+        return _generic_on_logs(field, b)
+    q = field.q
+    if field.in_subfield(b, 2 * field.n):
+        raise PreconditionViolated(_inside_gf_q2(field, b))
     c = field.inv(field.sqrt(b))
     c_q2 = field.frobenius_q(c, 2)
     alpha = field.mul(c, c_q2)
@@ -443,6 +474,95 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     return GenericIntermediates(
         b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
         t_pair=t_pair, branch=branch, failure=failure,
+    )
+
+
+def _generic_on_logs(field: Field, b: Element) -> GenericIntermediates:
+    """``generic_intermediates`` on the exponents of a field with log tables.
+
+    Each scalar s != 0 is carried as l_s = log_g s in Z/(q^4 - 1): products
+    and quotients add and subtract logs, s^e multiplies l_s by e, sqrt
+    multiplies it by 2^(4n - 1), the inverse of 2, and s^(q^i) by q^i.
+    Only a sum of two scalars goes through exp and back through log.  The
+    identities of ``generic_intermediates`` keep every operand nonzero
+    except B, A + B1, alpha + delta, alpha^(q+1) + 1 and x + 1, which have
+    no log.  Each of those is written ``s and exp[...]``, so that a zero s
+    gives the 0 that the Field method does for a product with s, a
+    quotient of s, or a power or Frobenius image of s.
+    """
+    exp, log = field._tables
+    N, q, d = field.group_order, field.q, field.d
+    half = (N + 1) >> 1  # 1/2 mod N: the log of sqrt(s) is half * l_s
+    lb = log[b]
+    # GF(q^2)* is generated by g^(q^2 + 1), and log[0] = 0 puts b = 0 in too
+    if lb % (q * q + 1) == 0:
+        raise PreconditionViolated(_inside_gf_q2(field, b))
+    lc = -lb * half % N
+    lc_q2 = lc * q * q % N
+    la = (lc + lc_q2) % N
+    c, alpha = exp[lc], exp[la]
+    beta = c ^ exp[lc_q2]
+    l_beta = log[beta]
+    ld = (l_beta - la) * (q - 1) % N
+    delta = exp[ld]
+    if ld == 0:
+        return GenericIntermediates(
+            b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_DELTA_ONE
+        )
+    if la == 0:
+        return GenericIntermediates(
+            b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_ALPHA_ONE
+        )
+
+    lg = (lc - l_beta) % N
+    gamma = exp[lg]
+    k_num = exp[la * (q + 1) % N] ^ 1
+    U = gamma ^ exp[lg * q % N] ^ (k_num and exp[(log[k_num] - l_beta * (q + 1)) % N])
+    uu = U and U ^ exp[2 * log[U] % N]
+    if uu == 0:
+        raise InternalDegenerate("U + U^2 vanished, but Tr_1^n(U + U^2) = 1")
+    lT = (log[1 ^ exp[ld * q % N]] - log[uu] * half) % N
+    T = exp[lT]
+    t_pair = tuple(solve_t_from_T(field, T))
+    if not t_pair:
+        raise InternalDegenerate("t + 1/t = T has no root, but Tr_1^(2n)(1/T) = 1")
+
+    t, t_inv = t_pair
+    gamma_T = exp[(lg + lT) % N]
+    B1, B = gamma_T ^ t_inv, gamma_T ^ t
+    lB = log[B]
+    lam_den = B1 ^ (B and exp[lB * q % N])
+    if lam_den == 0:
+        raise InternalDegenerate("B1 + B^q vanished, which puts T = B + B^q in GF(q)")
+    l_lam_sq = log[lam_den] * (q - 1) % N
+    if l_lam_sq == 0:
+        raise InternalDegenerate("lam^2 = 1, which puts T = B1 + B in GF(q)")
+    lam_sq = exp[l_lam_sq]
+    l_lam = l_lam_sq * half % N
+    lam = exp[l_lam]
+    alpha_delta = alpha ^ delta
+    A = alpha_delta and exp[(lT + log[alpha_delta] - log[alpha ^ 1]) % N]
+    A_B1 = A ^ B1
+    z_den = (A_B1 and exp[(l_lam + log[A_B1]) % N]) ^ (B and exp[(lB - l_lam) % N])
+    branch = failure = None
+    if z_den == 0:
+        failure = FAIL_Z_DENOMINATOR
+    else:
+        lz = (log[lam_sq ^ 1] - log[z_den]) % N
+        l_zlt = (lz + l_lam + log[t]) % N
+        if l_zlt == 0:
+            failure = FAIL_ANSATZ_POLE
+        else:
+            lx = -log[1 ^ exp[l_zlt]] % N
+            x = exp[lx]
+            x_1 = x ^ 1
+            if exp[lx * d % N] ^ (x_1 and exp[log[x_1] * d % N]) != b:
+                failure = FAIL_UNVERIFIED
+            else:
+                branch = GenericBranch(t, A, B, B1, lam, exp[lz], x)
+    # positional: the keyword form costs twice as much to build
+    return GenericIntermediates(
+        b, c, alpha, beta, delta, gamma, U, T, t_pair, branch, failure
     )
 
 

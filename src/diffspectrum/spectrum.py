@@ -9,8 +9,11 @@ solver against the oracle element by element.
 
 The enumeration, the formula path of ``ddt_row`` and the verifier share
 one per-b pass, which runs the generic chain once per b and switches the
-caller's field to table arithmetic (``Field.ensure_tables``).  The formula
-path runs it once per field: the a = 1 row it relabels is kept on the field.
+caller's field to table arithmetic (``Field.ensure_tables``).  On fields of
+up to 20 bits (n <= 5) that runs the chain on discrete logs, in the
+exponent form of ``solver.generic_intermediates``; at n = 6 the field gets
+no tables and the chain stays on ``Field`` methods.  The formula path runs
+the pass once per field: the a = 1 row it relabels is kept on the field.
 The verifier builds no per-b solution set for the two-solution family: it
 takes the pair {x, x+1} from the chain's record, and re-verifies every
 listed root in chunked numpy passes over the field's x^d table.

@@ -285,6 +285,23 @@ class TestExpTable:
         assert builds == [256, 256]
         assert field.power_table() is power
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_power_table_reuses_a_built_exp_table(self, monkeypatch, n):
+        builds = []
+        original = field_module._byte_product_tables
+
+        def counted(row, field):
+            builds.append(len(row))
+            return original(row, field)
+
+        monkeypatch.setattr(field_module, "_byte_product_tables", counted)
+        field = Field(n)
+        field.exp_table()
+        assert builds == [field.q ** 2]  # the powers of g
+        power = field.power_table()
+        assert builds == [field.q ** 2] * 2  # and only those of h = g^d
+        assert np.array_equal(power, Field(n).power_table())
+
     @pytest.mark.parametrize("n,samples", [(1, None), (2, None), (3, None), (5, 256)])
     def test_power_table_entries_are_d_th_powers(self, n, samples):
         field = Field(n)  # fresh: pow stays on the schoolbook path

@@ -9,7 +9,7 @@ import pytest
 
 import oracle_naive
 from diffspectrum import solver as solver_module
-from diffspectrum.errors import InternalDegenerate, PreconditionViolated
+from diffspectrum.errors import GF2Error, InternalDegenerate, PreconditionViolated
 from diffspectrum.field import Field
 from diffspectrum.solver import (
     CASE_B_EQUALS_ONE,
@@ -558,6 +558,76 @@ class TestChainMatchesReference:
         rng = random.Random("chain-reference:4")
         bs = rng.sample(outside_gf_q2(f4), N4_REFERENCE_SAMPLES)
         assert_chain_matches_reference(f4, bs)
+
+
+def zero_operand_counts(field, bs):
+    """For each operand that the chain's identities leave free to vanish,
+    how many of bs make it zero.  The exponent chain must take each zero
+    case the way the Field method it stands for does."""
+    q = field.q
+    zeros = Counter()
+    for b in bs:
+        chain = generic_intermediates(field, b)
+        if chain.gamma is None:
+            continue
+        alpha, delta, T = chain.alpha, chain.delta, chain.T
+        t, t_inv = chain.t_pair
+        gamma_T = field.mul(chain.gamma, T)
+        A = field.div(field.mul(T, alpha ^ delta), alpha ^ 1)
+        zeros["B"] += gamma_T == t
+        zeros["A + B1"] += A == gamma_T ^ t_inv
+        zeros["alpha + delta"] += alpha == delta
+        zeros["alpha^(q+1) + 1"] += field.pow(alpha, q + 1) == 1
+    return zeros
+
+
+def chain_or_raise(field, b):
+    """The chain's record as a dict, or the type and message it raised."""
+    try:
+        return generic_intermediates(field, b)._asdict()
+    except GF2Error as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Seeded b outside GF(q^2) compared between the two chains at n = 5, the
+# other degree whose fields get log tables; ~0.3 s with the tables.
+N5_EXPONENT_CHAIN_SAMPLES = 300
+
+
+class TestExponentChain:
+    """A field with log tables runs the chain on exponents, every other
+    field on Field operations; both give equal records and equal raises."""
+
+    def test_n2_reference_reaches_every_zero_operand(self, f2):
+        # the exhaustive n = 2 comparisons above cover each zero case
+        zeros = zero_operand_counts(f2, outside_gf_q2(f2))
+        assert zeros == {"B": 8, "A + B1": 16, "alpha + delta": 0, "alpha^(q+1) + 1": 48}
+
+    def test_n5_tables_match_schoolbook_sampled(self):
+        tables, plain = Field(5), Field(5)
+        tables.ensure_tables()
+        assert tables._fast_tables and not plain._fast_tables
+        rng = random.Random("exponent-chain:5")
+        bs = []
+        while len(bs) < N5_EXPONENT_CHAIN_SAMPLES:
+            b = rng.randrange(plain.size)
+            if not plain.in_subfield(b, 2 * plain.n):
+                bs.append(b)
+        failures = Counter()
+        for b in bs:
+            record = chain_or_raise(tables, b)
+            assert record == chain_or_raise(plain, b), b
+            failures[record["failure"]] += 1
+        assert failures[None] > 0 and failures[FAIL_UNVERIFIED] > 0
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_rejections_match_schoolbook(self, fields, n):
+        tables, plain = fields[n], Field(n)
+        inside = [b for b in range(tables.size) if plain.in_subfield(b, 2 * n)]
+        for b in (-1, tables.size, tables.size + 2, *inside):
+            rejection = chain_or_raise(tables, b)
+            assert rejection[0] == "PreconditionViolated"
+            assert rejection == chain_or_raise(plain, b), b
 
 
 @pytest.mark.parametrize(
