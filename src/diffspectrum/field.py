@@ -15,17 +15,20 @@ Both come from the same blocks of consecutive powers (_power_blocks):
 exp_table() from those of g, power_table() by scattering the powers of
 h = g^d onto those of g, so the exhaustive sweeps, which index only
 power_table(), never build the exp table; power_table() built after
-exp_table() reuses it for the powers of g.  mul, inv, pow and frobenius2
-take one of two paths.  After ensure_tables() on a field of degree
+exp_table() reuses it for the powers of g.
+
+Every GF(2)-linear map is one lookup per byte of a in byte-sliced tables
+(_byte_tables), on every field.  frobenius2(a, j) = a^(2^j) reads
+ceil(4n/8) tables of up to 256 entries for j mod 4n, built once per field
+from the squares of the images for j - 1; sqrt, frobenius_q, in_subfield
+and the trace tables go through it, and apply_linear keeps the tables of
+the other maps by key.  pow(a, e) multiplies the images a^(2^i) over the
+set bits i of e, square is schoolbook and div is mul(a, inv(b)).  Only mul
+and inv take one of two paths: after ensure_tables() on a field of degree
 <= TABLE_FAST_PATH_BITS each is one lookup in discrete-log lists derived
-from the exp table; those lists also carry solver's generic chain, which
-indexes them itself.  Otherwise mul is a schoolbook shift-and-reduce, inv
-is extended Euclid, and pow(a, e), which also serves frobenius2, multiplies
-the Frobenius images a^(2^i) over the set bits i of e.  Each image is one
-lookup per byte of a in a GF(2)-linear table (apply_linear): ceil(4n/8)
-byte tables of up to 256 entries for each bit i, built once per field when
-a bit >= i is first used.  On either path div is mul(a, inv(b)), square is
-schoolbook, and sqrt, frobenius_q and in_subfield go through frobenius2.
+from the exp table, and those lists also carry solver's generic chain,
+which indexes them itself.  Otherwise mul is a schoolbook shift-and-reduce
+and inv is extended Euclid.
 
 numpy is imported only inside the functions that build arrays: exp_table(),
 power_table(), ensure_tables() and the byte-product helpers behind them and
@@ -62,12 +65,10 @@ Element = int
 # Degree cap: keeps q^4 - 1 within 64 bits so encodings stay portable.
 MAX_N = 15
 
-# After ensure_tables(), mul/pow/inv/frobenius2 and solver's generic chain
-# index the log tables up to this field degree.  Beyond it ensure_tables()
-# does nothing, since two Python lists of 2^24 ints take seconds and over a
-# gigabyte to build; there, and before ensure_tables(), mul and inv are
-# schoolbook and pow multiplies Frobenius table lookups (up to
-# ceil(4n/8) * 256 entries per exponent bit used).
+# After ensure_tables(), mul, inv and solver's generic chain index the log
+# tables up to this field degree.  Beyond it ensure_tables() does nothing,
+# since two Python lists of 2^24 ints take seconds and over a gigabyte to
+# build; there, and before ensure_tables(), mul and inv are schoolbook.
 TABLE_FAST_PATH_BITS = 20
 
 # Exhaustive passes over every element run only on fields of at most this
@@ -267,7 +268,8 @@ class Field:
         # spectrum.ddt_row once its per-b pass has built it.
         self._formula_row_one: np.ndarray | None = None
         self._tables: tuple[list[int], list[int]] | None = None
-        self._fast_tables = False
+        # frobenius2's byte tables of a -> a^(2^j), by j in 0..degree-1
+        self._frobenius: list[tuple[array, ...] | None] = [None] * self.degree
         self._primitive: int | None = None
         self._subfield_bases: dict[int, tuple[int, ...]] = {}
         self._trace_one: dict[int, int] = {}
@@ -294,7 +296,7 @@ class Field:
 
     def mul(self, a: int, b: int) -> int:
         """Product of two elements."""
-        if self._fast_tables:
+        if self._tables is not None:
             if a == 0 or b == 0:
                 return 0
             exp, log = self._tables
@@ -319,7 +321,7 @@ class Field:
         """Multiplicative inverse; raises DivisionByZero on 0."""
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        if self._fast_tables:
+        if self._tables is not None:
             exp, log = self._tables
             return exp[(self.group_order - log[a]) % self.group_order]
         # extended Euclid in GF(2)[X]
@@ -343,40 +345,22 @@ class Field:
         """a raised to the integer exponent e.
 
         Negative exponents are accepted for nonzero bases; the exponent is
-        reduced modulo q^4 - 1 first.  Without log tables the power is the
-        product of a^(2^i) over the set bits i of e, each factor one
-        Frobenius table lookup, so a power 2^i is a single lookup.
+        reduced modulo q^4 - 1 first.  The power is the product of the
+        Frobenius images a^(2^i) over the set bits i of e, each one
+        frobenius2 lookup, so a power 2^i is a single lookup.
         """
         if a == 0:
             if e < 0:
                 raise DivisionByZero("0 has no multiplicative inverse")
             return 1 if e == 0 else 0
         e %= self.group_order
-        if self._fast_tables:
-            exp, log = self._tables
-            return exp[log[a] * e % self.group_order]
         r, i = 1, 0
         while e:
             if e & 1:
-                r = self._mul_schoolbook(self._frobenius_bit(a, i), r)
+                r = self._mul_schoolbook(self.frobenius2(a, i), r)
             e >>= 1
             i += 1
         return r
-
-    def _frobenius_bit(self, a: int, i: int) -> int:
-        """a^(2^i) for 0 <= i < degree, from the table keyed ("frob", i).
-
-        Table i squares the images of table i - 1, so building it never
-        goes through pow.
-        """
-        if i == 0:
-            return a
-
-        def image(x: int) -> int:
-            y = self._frobenius_bit(x, i - 1)
-            return self._mul_schoolbook(y, y)
-
-        return self.apply_linear(("frob", i), image, a)
 
     def sqrt(self, a: int) -> int:
         """The unique square root: squaring is a bijection in characteristic 2."""
@@ -385,13 +369,29 @@ class Field:
     # -- Frobenius, trace, norm ------------------------------------------
 
     def frobenius2(self, a: int, j: int) -> int:
-        """a^(2^j), the j-fold squaring map."""
-        if self._fast_tables:
-            if a == 0:
-                return 0
-            exp, log = self._tables
-            return exp[(log[a] << (j % self.degree)) % self.group_order]
-        return self.pow(a, 1 << (j % self.degree))
+        """a^(2^j), the j-fold squaring map, for any integer j.
+
+        One lookup per byte of a in the byte tables of a -> a^(2^(j mod 4n)),
+        kept in a list by j, so a call builds no key and no closure.
+        """
+        j %= self.degree
+        tables = self._frobenius[j]
+        if tables is None:
+            tables = self._frobenius_tables(j)
+        r = 0
+        for table in tables:
+            r ^= table[a & 0xFF]
+            a >>= 8
+        return r
+
+    def _frobenius_tables(self, j: int) -> tuple[array, ...]:
+        """The byte tables of a -> a^(2^j), 0 <= j < degree, built from the
+        squares of the images for j - 1, so never through pow."""
+        images = [1 << i for i in range(self.degree)]
+        if j:
+            images = [self.square(self.frobenius2(x, j - 1)) for x in images]
+        self._frobenius[j] = _byte_tables(images)
+        return self._frobenius[j]
 
     def frobenius_q(self, a: int, i: int) -> int:
         """a^(q^i) for i >= 0; composing four times is the identity."""
@@ -642,16 +642,16 @@ class Field:
         return out
 
     def ensure_tables(self) -> None:
-        """Switch scalar mul/pow/inv/frobenius2 to discrete-log tables, and
-        solver.generic_intermediates to its exponent form (idempotent).
+        """Make mul and inv discrete-log lookups, and switch
+        solver.generic_intermediates to its exponent form (idempotent);
+        nothing else changes.
 
         Only fields of degree <= TABLE_FAST_PATH_BITS switch: their exp and
         log lists come from exp_table(), log by one scatter (log[0] is a
         dead slot).  Above that degree the call does nothing.  The tables
-        stay Python lists because indexing numpy scalars is slower and
-        their fixed width overflows in log[a] * e.
+        stay Python lists because indexing numpy scalars is slower.
         """
-        if self._fast_tables or self.degree > TABLE_FAST_PATH_BITS:
+        if self._tables is not None or self.degree > TABLE_FAST_PATH_BITS:
             return
         import numpy as np
 
@@ -659,4 +659,3 @@ class Field:
         log = np.zeros(self.size, dtype=np.int64)
         log[exp] = np.arange(self.group_order)
         self._tables = (exp.tolist(), log.tolist())
-        self._fast_tables = True

@@ -31,11 +31,12 @@ with brute force by construction.
 
 The chain has two forms with one result.  On a field with log tables
 (``Field.ensure_tables``, which only the whole-field passes of
-``spectrum`` call) it runs on the discrete logs of its scalars, where
-every step but a sum is index arithmetic modulo q^4 - 1.  Every other
-field runs it on ``Field`` methods, which need no table of q^4 entries:
-every single-b query, every CLI call and every n >= 6.  Both forms return
-equal records, take the same exits and raise the same errors.
+``spectrum`` call, and which otherwise changes only ``Field.mul`` and
+``Field.inv``) it runs on the discrete logs of its scalars, where every
+step but a sum is index arithmetic modulo q^4 - 1.  Every other field runs
+it on ``Field`` methods, which need no table of q^4 entries: every
+single-b query, every CLI call and every n >= 6.  Both forms return equal
+records, take the same exits and raise the same errors.
 """
 
 from __future__ import annotations
@@ -411,7 +412,7 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     return equal records.
     """
     _require_element(field, b)
-    if field._fast_tables:
+    if field._tables is not None:
         return _generic_on_logs(field, b)
     q = field.q
     if field.in_subfield(b, 2 * field.n):

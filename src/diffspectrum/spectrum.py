@@ -8,12 +8,13 @@ for arbitrary nonzero a, and a verifier that cross-checks the constructive
 solver against the oracle element by element.
 
 The enumeration, the formula path of ``ddt_row`` and the verifier share
-one per-b pass, which runs the generic chain once per b and switches the
-caller's field to table arithmetic (``Field.ensure_tables``).  On fields of
-up to 20 bits (n <= 5) that runs the chain on discrete logs, in the
-exponent form of ``solver.generic_intermediates``; at n = 6 the field gets
-no tables and the chain stays on ``Field`` methods.  The formula path runs
-the pass once per field: the a = 1 row it relabels is kept on the field.
+one per-b pass, which runs the generic chain once per b after
+``Field.ensure_tables`` on the caller's field.  On fields of up to 20 bits
+(n <= 5) that makes ``mul`` and ``inv`` log lookups and switches the chain
+to the exponent form of ``solver.generic_intermediates``, and does nothing
+else; at n = 6 the field gets no tables and the chain stays on ``Field``
+methods.  The formula path runs the pass once per field: the a = 1 row it
+relabels is kept on the field.
 The verifier builds no per-b solution set for the two-solution family: it
 takes the pair {x, x+1} from the chain's record, and re-verifies every
 listed root in chunked numpy passes over the field's x^d table.
@@ -213,8 +214,8 @@ def formula_histogram(n: int) -> SpectrumHistogram:
     0.  Colliding count keys merge additively (at n=1 the q^2 - q = 2
     family collides with the two-solution family).
     """
-    if n < 1:
-        raise OutOfRange(f"n must be a positive integer, got {n}")
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise OutOfRange(f"n must be a positive integer, got {n!r}")
     q = 1 << n
     s2_count = _s2_family_size(q)
     zero_count = q**4 - 1 - q - s2_count
@@ -233,7 +234,8 @@ def _classified(
     field: Field,
 ) -> Iterator[Tuple[Element, Classification, Optional[GenericIntermediates]]]:
     """(b, classification, chain) for every b in ascending order: the one
-    per-b pass, one chain per b on the field switched to table arithmetic."""
+    per-b pass, one chain per b after ``field.ensure_tables()`` (log-table
+    mul and inv, the chain in its exponent form)."""
     field.ensure_tables()
     for b in range(field.size):
         yield (b, *_classify_with_chain(field, b))
@@ -266,7 +268,7 @@ def ddt_row(field: Field, a: Element, method: str = METHOD_FORMULA) -> np.ndarra
     b/a^d, so the a-row is the a=1 row relabelled by b -> a^d * b.  The
     formula path applies the relabelling to the a=1 row, which the first
     call on a field builds by the per-b classification pass (one chain per
-    b, switching ``field`` to table arithmetic) and keeps on the field;
+    b, after ``field.ensure_tables()``) and keeps on the field;
     the bruteforce path tallies the derivative directly.  Both paths
     agree.  ``a`` may be any integer type.
     """
@@ -429,7 +431,7 @@ def verify_conjecture(field: Field) -> VerificationReport:
     classify/solve pass with one batched re-verification of every root,
     and the two-solution-family count comparison.  The tally is the
     chunked half-pair pass of ``bruteforce_counts``; the per-b pass runs
-    one chain per b, serially, and switches ``field`` to table arithmetic.
+    one chain per b, serially, after ``field.ensure_tables()``.
     """
     _require_within_cap(field, "exhaustive verification")
     elapsed: Dict[str, float] = {}

@@ -37,10 +37,10 @@ EXPECTED_MODULI = {
 
 
 def _pow_exponents(field: Field) -> list[int]:
-    """Exponents on which pow's two paths must agree: the edges 0, 1, -1 and
-    the group order, every Frobenius power 2^j, q -+ 1, d and the CRT
-    projections onto the three unity subgroups (e = 1 mod m and e = 0 mod
-    the other two orders m of ``Field.unity_factors``)."""
+    """Exponents pow is checked on, with and without log tables: the edges
+    0, 1, -1 and the group order, every Frobenius power 2^j, q -+ 1, d and
+    the CRT projections onto the three unity subgroups (e = 1 mod m and
+    e = 0 mod the other two orders m of ``Field.unity_factors``)."""
     crt = [rest * pow(rest, -1, m) % field.group_order
            for m in field.unity_factors for rest in [field.group_order // m]]
     return [0, 1, -1, *(1 << j for j in range(field.degree + 1)),
@@ -202,7 +202,7 @@ class TestRingAxioms:
         plain = Field(2)
         fast = Field(2)
         fast.ensure_tables()
-        assert fast._fast_tables and not plain._fast_tables
+        assert fast._tables is not None and plain._tables is None
         for a in range(1 << 8):
             for b in range(0, 1 << 8, 7):
                 assert fast.mul(a, b) == plain.mul(a, b)
@@ -237,7 +237,7 @@ class TestRingAxioms:
             for a in bases:
                 expected = oracle_naive.field_pow(field.modulus, a, e % field.group_order)
                 assert field.pow(a, e) == expected, (a, e)
-        assert not field._fast_tables
+        assert field._tables is None
 
 
 class TestExpTable:
@@ -262,7 +262,6 @@ class TestExpTable:
         assert field.degree > TABLE_FAST_PATH_BITS
         field.ensure_tables()
         assert field._tables is None and field._exp is None
-        assert not field._fast_tables
 
     def test_sweeps_on_one_field_build_the_table_once(self, monkeypatch):
         builds = []
@@ -314,7 +313,7 @@ class TestExpTable:
             xs = [0, 1, field.size - 1, *(rng.randrange(field.size) for _ in range(samples))]
         for x in xs:
             assert int(power[x]) == field.pow(x, field.d), x
-        assert not field._fast_tables
+        assert field._tables is None
 
     @pytest.mark.parametrize("n,modulus", [(1, None), (2, None), (3, None), (4, None),
                                            (5, None), (2, 0x11D)])
@@ -375,6 +374,46 @@ class TestSqrtFrobenius:
     def test_frobenius_negative_power_rejected(self, f1):
         with pytest.raises(ValueError):
             f1.frobenius_q(3, -1)
+
+    @pytest.mark.parametrize("n,samples", [(1, None), (2, None), (5, 64), (15, 8)])
+    def test_frobenius2_agrees_with_naive_oracle(self, n, samples):
+        field = Field(n)  # fresh: no log tables
+        if samples is None:
+            elements = range(field.size)
+        else:
+            rng = random.Random(n)
+            elements = [0, 1, *(rng.randrange(field.size) for _ in range(samples))]
+        for j in range(-1, field.degree + 1):
+            for a in elements:
+                expected = oracle_naive.field_pow(field.modulus, a, 2 ** (j % field.degree))
+                assert field.frobenius2(a, j) == expected, (a, j)
+
+    def test_linear_maps_never_go_through_pow(self, monkeypatch):
+        def refuse(self, a, e):
+            pytest.fail(f"pow({a:#x}, {e}) called")
+
+        monkeypatch.setattr(Field, "pow", refuse)
+        field = Field(3)
+        m = field.degree
+
+        def oracle_frobenius(a, j):
+            return oracle_naive.field_pow(field.modulus, a, 2 ** (j % m))
+
+        rng = random.Random(3)
+        for a in [0, 1, *(rng.randrange(field.size) for _ in range(32))]:
+            for j in range(-1, m + 1):
+                assert field.frobenius2(a, j) == oracle_frobenius(a, j), (a, j)
+            assert oracle_frobenius(field.sqrt(a), 1) == a
+            for i in range(4):
+                assert field.frobenius_q(a, i) == oracle_frobenius(a, field.n * i), (a, i)
+            for k in (1, 2, 3, 4, 6, 12):
+                assert field.in_subfield(a, k) == (oracle_frobenius(a, k) == a), (a, k)
+            for l in (1, 3, 6):
+                expected = 0
+                for i in range(0, m, l):
+                    expected ^= oracle_frobenius(a, i)
+                assert field.trace_rel(a, l, m) == expected, (a, l)
+        assert field._tables is None
 
 
 class TestTraceNorm:

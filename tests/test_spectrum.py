@@ -201,6 +201,9 @@ class TestFormulaHistogram:
             formula_histogram(0)
         with pytest.raises(OutOfRange):
             formula_histogram(-3)
+        for n in (1.5, "2", True):
+            with pytest.raises(OutOfRange):
+                formula_histogram(n)
 
     def test_large_n_has_no_cap(self):
         hist = formula_histogram(8)  # degree 32, beyond any sweep cap
@@ -431,7 +434,7 @@ class TestVerifyConjecture:
         on_tables = []
 
         def checked(field, b):
-            on_tables.append(field._fast_tables)
+            on_tables.append(field._tables is not None)
             return counted(field, b)
 
         monkeypatch.setattr(solver, "generic_intermediates", checked)
