@@ -6,6 +6,10 @@ Artin-Schreier machinery behind the constructions (`subgroups`), the
 case-by-case solver and classifier (`solver`), whole-field histograms
 plus an exhaustive verifier (`spectrum`), and a deterministic CLI
 (`cli`, console script ``diffspectrum``).
+
+The `spectrum` names are looked up when used, through the module
+``__getattr__`` (PEP 562), so ``import diffspectrum`` and a `classify`
+or `solve` call load neither `spectrum` nor what it imports.
 """
 
 from .errors import (
@@ -34,6 +38,7 @@ from .solver import (
     MuCaseWitness,
     SolutionSet,
     classify,
+    eval_derivative,
     generic_intermediates,
     is_in_s2,
     iter_mu_witnesses,
@@ -42,18 +47,6 @@ from .solver import (
     solve_generic,
     solve_mu_case,
     verify_solution,
-)
-from .spectrum import (
-    SpectrumHistogram,
-    VerificationReport,
-    bruteforce_counts,
-    bruteforce_histogram,
-    ddt_row,
-    eval_derivative,
-    formula_histogram,
-    s2_enumerate,
-    s2_members,
-    verify_conjecture,
 )
 from .subgroups import (
     QuadraticRoots,
@@ -65,6 +58,28 @@ from .subgroups import (
 )
 
 __version__ = "0.1.0"
+
+_SPECTRUM_NAMES = frozenset({
+    "SpectrumHistogram",
+    "VerificationReport",
+    "bruteforce_counts",
+    "bruteforce_histogram",
+    "ddt_row",
+    "formula_histogram",
+    "s2_enumerate",
+    "s2_members",
+    "verify_conjecture",
+})
+
+
+def __getattr__(name: str):
+    # read from the module on every access, so a patched spectrum
+    # function is seen through the package too
+    if name in _SPECTRUM_NAMES:
+        from . import spectrum
+
+        return getattr(spectrum, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "AmbientTooSmall",

@@ -20,12 +20,15 @@ the output, to stdout or ``--out``, and turns every error into one
 * 3 -- modulus errors (not hex, not positive, wrong degree, reducible)
 * 4 -- internal re-verification failure (a bug signal, not bad input)
 * 5 -- field too large for an exhaustive pass
+
+``spectrum`` and ``verify`` import the ``spectrum`` module inside their
+commands, and ``json`` is imported only for ``--format json``, so a text
+``classify`` or ``solve`` loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from typing import List, Optional, Tuple
 
@@ -44,13 +47,6 @@ from .solver import (
     solve,
     verify_solution,
 )
-from .spectrum import (
-    METHOD_BRUTEFORCE,
-    METHOD_FORMULA,
-    bruteforce_histogram,
-    formula_histogram,
-    verify_conjecture,
-)
 
 __all__ = ["main", "entrypoint"]
 
@@ -64,6 +60,11 @@ EXIT_FIELD_TOO_LARGE = 5
 FORMAT_TEXT = "text"
 FORMAT_JSON = "json"
 FORMAT_CSV = "csv"
+
+# spectrum.METHOD_FORMULA and spectrum.METHOD_BRUTEFORCE, spelled out so
+# that building the parser does not import spectrum
+METHOD_FORMULA = "formula"
+METHOD_BRUTEFORCE = "bruteforce"
 
 
 class _CliError(Exception):
@@ -134,6 +135,8 @@ def _cmd_classify(args: argparse.Namespace) -> Tuple[str, int]:
         # outside GF(q^2), membership in the two-solution family is the case
         payload["s2"] = int(classification.case == CASE_GENERIC_TWO)
     if args.format == FORMAT_JSON:
+        import json
+
         return json.dumps(payload), EXIT_OK
     return " ".join(f"{key}={value}" for key, value in payload.items()), EXIT_OK
 
@@ -154,6 +157,8 @@ def _cmd_solve(args: argparse.Namespace) -> Tuple[str, int]:
     roots = [field.encode_hex(x) for x in listed]
     subfield = f"all of GF({field.q ** 2})"
     if args.format == FORMAT_JSON:
+        import json
+
         listing = subfield if summarise_subfield else roots
         return json.dumps({"count": len(solutions), "solutions": listing}), EXIT_OK
     if summarise_subfield:
@@ -162,6 +167,8 @@ def _cmd_solve(args: argparse.Namespace) -> Tuple[str, int]:
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> Tuple[str, int]:
+    from .spectrum import bruteforce_histogram, formula_histogram
+
     field = _build_field(args)
     if args.method == METHOD_BRUTEFORCE:
         histogram = bruteforce_histogram(field)
@@ -176,6 +183,8 @@ def _cmd_spectrum(args: argparse.Namespace) -> Tuple[str, int]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
+    from .spectrum import verify_conjecture
+
     field = _build_field(args)
     report = verify_conjecture(field)
     return report.to_json(), EXIT_OK if report.passed else EXIT_VERIFY_FAILED

@@ -19,16 +19,18 @@ exp_table() reuses it for the powers of g.
 
 Every GF(2)-linear map is one lookup per byte of a in byte-sliced tables
 (_byte_tables), on every field.  frobenius2(a, j) = a^(2^j) reads
-ceil(4n/8) tables of up to 256 entries for j mod 4n, built once per field
-from the squares of the images for j - 1; sqrt, frobenius_q, in_subfield
-and the trace tables go through it, and apply_linear keeps the tables of
-the other maps by key.  pow(a, e) multiplies the images a^(2^i) over the
-set bits i of e, square is schoolbook and div is mul(a, inv(b)).  Only mul
-and inv take one of two paths: after ensure_tables() on a field of degree
-<= TABLE_FAST_PATH_BITS each is one lookup in discrete-log lists derived
-from the exp table, and those lists also carry solver's generic chain,
-which indexes them itself.  Otherwise mul is a schoolbook shift-and-reduce
-and inv is extended Euclid.
+ceil(4n/8) tables of up to 256 entries for j mod 4n.  Each j's tables are
+built on first use and on their own, from r = X^(2^j): the image of X^i
+is r^i, so a first sqrt at n = 15 builds one set of tables, not 60.
+sqrt, frobenius_q, in_subfield and the trace tables go through
+frobenius2; trace_rel keeps its tables by (l, k) and apply_linear those
+of the other maps by key.  pow(a, e) multiplies the images a^(2^i) over
+the set bits i of e, square is schoolbook and div is mul(a, inv(b)).
+Only mul and inv take one of two paths: after ensure_tables() on a field
+of degree <= TABLE_FAST_PATH_BITS each is one lookup in discrete-log lists
+derived from the exp table, and those lists also carry solver's generic
+chain, which indexes them itself.  Otherwise mul is a schoolbook
+shift-and-reduce and inv is extended Euclid.
 
 numpy is imported only inside the functions that build arrays: exp_table(),
 power_table(), ensure_tables() and the byte-product helpers behind them and
@@ -166,6 +168,15 @@ def _byte_tables(images: list, pack: Callable = partial(array, "Q")) -> tuple:
             table[v] = table[v ^ low] ^ chunk[low.bit_length() - 1]
         tables.append(pack(table))
     return tuple(tables)
+
+
+def _lookup(tables: tuple[array, ...], a: int) -> int:
+    """L(a) from tables = _byte_tables of L: one lookup per byte of a."""
+    r = 0
+    for table in tables:
+        r ^= table[a & 0xFF]
+        a >>= 8
+    return r
 
 
 def _byte_product_tables(row: np.ndarray, field: Field) -> tuple[np.ndarray, ...]:
@@ -385,13 +396,22 @@ class Field:
         return r
 
     def _frobenius_tables(self, j: int) -> tuple[array, ...]:
-        """The byte tables of a -> a^(2^j), 0 <= j < degree, built from the
-        squares of the images for j - 1, so never through pow."""
-        images = [1 << i for i in range(self.degree)]
-        if j:
-            images = [self.square(self.frobenius2(x, j - 1)) for x in images]
-        self._frobenius[j] = _byte_tables(images)
-        return self._frobenius[j]
+        """The byte tables of a -> a^(2^j), 0 <= j < degree, built for j
+        alone and never through pow.
+
+        Squaring is additive, so the map sends X^i to r^i with
+        r = X^(2^j): r takes j schoolbook squarings of X and the images
+        1, r, ..., r^(4n-1) take 4n - 1 products.  No table for another j
+        is read or built.
+        """
+        r = 2  # X
+        for _ in range(j):
+            r = self._mul_schoolbook(r, r)
+        images = [1]
+        for _ in range(self.degree - 1):
+            images.append(self._mul_schoolbook(images[-1], r))
+        tables = self._frobenius[j] = _byte_tables(images)
+        return tables
 
     def frobenius_q(self, a: int, i: int) -> int:
         """a^(q^i) for i >= 0; composing four times is the identity."""
@@ -405,32 +425,36 @@ class Field:
         if not self.in_subfield(a, k):
             raise NotInSubfield(f"{a:#x} is not in GF(2^{k})")
 
-    def apply_linear(self, key: Hashable, image: Callable[[int], int], a: int) -> int:
+    def apply_linear(self, key: Hashable, images: Callable[[], list[int]], a: int) -> int:
         """L(a) for the GF(2)-linear map L on this field named by key.
 
-        image(x) must compute L(x) for every field element x.  On the first
-        call for a key, image runs once per polynomial basis element X^j and
-        the results become byte-sliced tables; every call after that is one
+        images() must return the images L(X^j) of the polynomial basis,
+        j = 0 .. 4n - 1.  It runs on the first call for a key only, and its
+        result becomes byte-sliced tables; every call after that is one
         table lookup per byte of a.
         """
         tables = self._linear_maps.get(key)
         if tables is None:
-            tables = _byte_tables([image(1 << j) for j in range(self.degree)])
-            self._linear_maps[key] = tables
-        r = 0
-        for table in tables:
-            r ^= table[a & 0xFF]
-            a >>= 8
-        return r
+            tables = self._linear_maps[key] = _byte_tables(images())
+        return _lookup(tables, a)
 
     def trace_rel(self, a: int, l: int, k: int) -> int:
         """Relative trace from GF(2^k) down to GF(2^l): sum of a^(2^(l*i)).
 
         The sum is GF(2)-linear in a, so it is evaluated through a table
-        built once per (l, k) from the basis images of _trace_sum.
+        built once per (l, k) from the basis images of _trace_sum; a call
+        that finds the table builds no callable.
         """
         self._check_tower(a, l, k)
-        return self.apply_linear(("trace", l, k), lambda x: self._trace_sum(x, l, k), a)
+        tables = self._linear_maps.get(("trace", l, k))
+        if tables is None:
+            tables = self._trace_tables(l, k)
+        return _lookup(tables, a)
+
+    def _trace_tables(self, l: int, k: int) -> tuple[array, ...]:
+        images = [self._trace_sum(1 << j, l, k) for j in range(self.degree)]
+        tables = self._linear_maps[("trace", l, k)] = _byte_tables(images)
+        return tables
 
     def _trace_sum(self, a: int, l: int, k: int) -> int:
         """The defining sum a + a^(2^l) + ... + a^(2^(l*(k/l - 1))), any a."""
@@ -539,6 +563,10 @@ class Field:
         for every k at once.  The trace is GF(2)-linear, so when X^j is the
         lowest basis element of trace 1 every u < 2^j has trace 0 and the
         smallest such u is 2^j itself: the scan takes at most 4n steps.
+
+        No solver path needs it since the Artin-Schreier roots come from one
+        linear right inverse (subgroups.solve_artin_schreier).  It stays
+        public because perfbench times it as the field.trace_one_ms layer.
         """
         if k < 1 or self.degree % k:
             raise OutOfRange(f"GF(2^{k}) is not a subfield of GF(2^{self.degree})")

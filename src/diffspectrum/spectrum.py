@@ -21,7 +21,9 @@ listed root in chunked numpy passes over the field's x^d table.
 
 numpy is imported on first use, inside the functions that build or tally
 arrays (the tally, the histogram, ``ddt_row`` and the verifier), so
-importing this module, as the CLI does for every command, does not load it.
+importing this module does not load it.  The CLI imports this module only
+for ``spectrum`` and ``verify``, and the package resolves its names on
+first use, so ``classify`` and ``solve`` do not load it either.
 
 Exhaustive passes are capped at fields of ``BRUTEFORCE_CAP_BITS`` = 24
 bits, checked before any table is built; the closed-form histogram has no
@@ -37,6 +39,7 @@ from array import array
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
+from . import solver
 from .errors import (
     FieldTooLarge,
     InternalDegenerate,
@@ -50,6 +53,8 @@ from .solver import (
     CASE_NO_SOLUTION,
     Classification,
     GenericIntermediates,
+    _GENERIC_TWO,
+    _NO_SOLUTION,
     _classify_with_chain,
     _solution_set,
     eval_derivative,
@@ -235,10 +240,20 @@ def _classified(
 ) -> Iterator[Tuple[Element, Classification, Optional[GenericIntermediates]]]:
     """(b, classification, chain) for every b in ascending order: the one
     per-b pass, one chain per b after ``field.ensure_tables()`` (log-table
-    mul and inv, the chain in its exponent form)."""
+    mul and inv, the chain in its exponent form).
+
+    Membership in GF(q^2) is read from a set of its q^2 elements, so a b
+    outside it is checked once, by ``solver.generic_intermediates``, which
+    is called through its module and whose failure tag gives the case.
+    """
     field.ensure_tables()
+    inside = frozenset(field.iter_subfield(2 * field.n))
     for b in range(field.size):
-        yield (b, *_classify_with_chain(field, b))
+        if b in inside:
+            yield (b, *_classify_with_chain(field, b))
+        else:
+            chain = solver.generic_intermediates(field, b)
+            yield b, _GENERIC_TWO if chain.failure is None else _NO_SOLUTION, chain
 
 
 def s2_members(field: Field) -> Iterator[Element]:

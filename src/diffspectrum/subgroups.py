@@ -9,7 +9,10 @@ The quadratic c^2 + z*c + 1 over a subfield GF(2^m) always has two roots
 in GF(2^(2m)); they multiply to 1 and land either both in GF(2^m) or both
 in mu_(2^m + 1), decided by the absolute trace of 1/z.  Solving the
 derivative equation reduces to locating such roots, so the Artin-Schreier
-and quadratic solvers live here too.
+and quadratic solvers live here too.  Every Artin-Schreier root on a field
+comes from one table: a GF(2)-linear right inverse of y -> y^2 + y on the
+whole field, found once by Gaussian elimination, serves every subfield
+GF(2^k).
 
 solve_t_from_T is memoised per field.  Its T always lies in GF(q^2)*, so
 however many b the solver handles, at most q^2 - 1 distinct T occur: the
@@ -20,7 +23,7 @@ where such a pass exists, so it holds at most q^2 - 1 <= 4,095 entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     AmbientTooSmall,
@@ -34,14 +37,17 @@ from .field import BRUTEFORCE_CAP_BITS, Field
 LOCATION_SUBFIELD = "subfield"
 LOCATION_UNITY_COSET = "unity_coset"
 
+# Field._linear_maps key of the Artin-Schreier root table
+ARTIN_SCHREIER = "artin_schreier"
 
-@dataclass(frozen=True)
-class QuadraticRoots:
+
+class QuadraticRoots(NamedTuple):
     """Roots of a quadratic, sorted ascending; a repeated root appears twice.
 
     location is set only by c_plus_inv_decompose: "subfield" when both roots
     lie in GF(2^m)*, "unity_coset" when both lie in mu_(2^m + 1) \\ {1}.
     """
+
     roots: tuple[int, ...]
     location: str | None = None
 
@@ -56,9 +62,12 @@ def mu_member(field: Field, a: int, m: int) -> bool:
 def solve_artin_schreier(field: Field, w: int, k: int) -> QuadraticRoots:
     """Roots in GF(2^k) of y^2 + y = w, for w in GF(2^k) with k | 4n.
 
-    Solvable iff the absolute trace of w vanishes, in which case the two
-    roots differ by 1.  The root y is _artin_schreier_root(w), which is
-    GF(2)-linear in w, so it is read from a table built once per k.
+    Solvable iff the absolute trace of w over GF(2^k) vanishes.  Then
+    both roots lie in GF(2^k) and differ by 1, and w also has absolute
+    trace 0 over the whole field, so the field's one root table
+    (_artin_schreier_images) gives a root y for every k; the sorted pair
+    (y, y + 1) does not depend on which root the table picks.  Each y is
+    checked against the equation before it is returned.
     """
     if k < 1 or field.degree % k:
         raise OutOfRange(f"GF(2^{k}) is not a subfield of GF(2^{field.degree})")
@@ -66,40 +75,39 @@ def solve_artin_schreier(field: Field, w: int, k: int) -> QuadraticRoots:
         raise NotInSubfield(f"{w:#x} is not in GF(2^{k})")
     if field.trace_rel(w, 1, k) != 0:
         return QuadraticRoots(())
-    y = field.apply_linear(
-        ("artin_schreier", k), lambda x: _artin_schreier_root(field, x, k), w)
+    y = field.apply_linear(ARTIN_SCHREIER, lambda: _artin_schreier_images(field), w)
     if field.square(y) ^ y != w:
         raise InternalDegenerate(f"{y:#x} is not a root of y^2 + y = {w:#x}")
     return QuadraticRoots(tuple(sorted((y, y ^ 1))))
 
 
-def _artin_schreier_root(field: Field, w: int, k: int) -> int:
-    """A root of y^2 + y = w when w in GF(2^k) has absolute trace 0.
+def _artin_schreier_images(field: Field) -> list[int]:
+    """R(X^j), j = 0 .. 4n - 1, for a GF(2)-linear R on the whole field with
+    R(w)^2 + R(w) = w for every w of absolute trace 0.
 
-    One formula for every k, the weighted sum over a fixed trace-1 element
-    theta of GF(2^k) (``Field.trace_one_element``, which exists for odd k
-    too):
-
-        y = sum_{i=0}^{k-2} (theta^(2^(i+1)) + ... + theta^(2^(k-1))) * w^(2^i)
-
-    It is a sum of constants times Frobenius powers of w, so it is
-    GF(2)-linear and evaluates for every field element w.
+    S(y) = y^2 + y is GF(2)-linear with kernel {0, 1}, so its image is the
+    hyperplane of trace-0 elements.  Gaussian elimination over the images
+    S(X^j) = X^(2j) + X^j keeps 4n - 1 rows in reduced echelon form, each
+    with the preimage it came from; a w in the image is the sum of the
+    rows whose leading bits it has set, so R(X^i) is the preimage of the
+    row led by bit i, and 0 for the one bit that leads no row.
     """
-    theta = field.trace_one_element(k)
-    powers = [theta]
-    for _ in range(k - 1):
-        powers.append(field.square(powers[-1]))
-    suffix = 0  # sum of theta^(2^j) for j > i
-    y = 0
-    wi = w
-    coeffs = []
-    for i in range(k - 1):
-        coeffs.append(wi)
-        wi = field.square(wi)
-    for i in range(k - 2, -1, -1):
-        suffix ^= powers[i + 1]
-        y ^= field.mul(suffix, coeffs[i])
-    return y
+    rows: list[tuple[int, int]] = []  # (S(p), p), no row's lead set in another
+    for j in range(field.degree):
+        vec, pre = field.square(1 << j) ^ (1 << j), 1 << j
+        for v, p in rows:
+            if vec >> (v.bit_length() - 1) & 1:
+                vec ^= v
+                pre ^= p
+        if vec:
+            lead = vec.bit_length() - 1
+            rows = [(v ^ vec, p ^ pre) if v >> lead & 1 else (v, p) for v, p in rows]
+            rows.append((vec, pre))
+    if len(rows) != field.degree - 1:
+        raise InternalDegenerate(
+            f"y^2 + y has an image of dimension {len(rows)}, not {field.degree - 1}")
+    root_of = {v.bit_length() - 1: p for v, p in rows}
+    return [root_of.get(i, 0) for i in range(field.degree)]
 
 
 def solve_quadratic(field: Field, u: int, v: int, k: int) -> QuadraticRoots:

@@ -4,11 +4,13 @@ Each test drives ``cli.main`` directly with an argv list and captures
 stdout/stderr, so the full dispatch path (parsing, field construction,
 command logic, serialization, exit codes) is exercised in-process.  A few
 tests start a fresh interpreter instead, where the state of the process is
-the point: the module entry point, and which commands load numpy.
+the point: the module entry point, and which modules a command loads.
 """
 
 from __future__ import annotations
 
+import argparse
+import ast
 import json
 import os
 import subprocess
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from diffspectrum import solver
+from diffspectrum import cli, solver, spectrum
 from diffspectrum.cli import (
     EXIT_BAD_INPUT,
     EXIT_BAD_MODULUS,
@@ -387,9 +389,11 @@ class TestOutput:
         assert result.stdout == "case=GENERIC_TWO count=2 s2=1\n"
 
     def test_classify_and_solve_never_import_numpy(self):
-        # Per n: a two-solution b, a zero b, b = 1 and a mu_(q+1) b.  Solving
-        # the mu_(q+1) b at n = 15 would list q^2 - q ~ 2^30 roots, so it is
-        # only classified there.
+        # A text classify or solve loads neither numpy nor spectrum, nor the
+        # dataclasses and json that spectrum imports, beyond what a bare
+        # interpreter holds.  Per n: a two-solution b, a zero b, b = 1 and a
+        # mu_(q+1) b.  Solving the mu_(q+1) b at n = 15 would list
+        # q^2 - q ~ 2^30 roots, so it is only classified there.
         queries = {
             1: ["0x9", "0x0", "0x1", "0x6"],
             4: ["0x2", "0x0", "0x1", "0x409a"],
@@ -402,9 +406,10 @@ class TestOutput:
             for b in values
             if not (command == "solve" and n == 15 and b == values[3])
         ]
+        prelude = "import io, sys, contextlib\n"
         script = (
-            "import io, json, sys, contextlib\n"
-            "import diffspectrum\n"
+            prelude
+            + "import diffspectrum\n"
             "from diffspectrum import cli\n"
             "cases, codes = [], []\n"
             f"for argv in {argvs!r}:\n"
@@ -413,16 +418,20 @@ class TestOutput:
             "        codes.append(cli.main(argv))\n"
             "    if argv[0] == 'classify':\n"
             "        cases.append(out.getvalue().split()[0])\n"
-            "print(json.dumps([codes, cases, 'numpy' in sys.modules]))\n"
+            "print(repr([codes, cases, sorted(sys.modules)]))\n"
         )
+        bare = fresh_python("-c", prelude + "print(repr(sorted(sys.modules)))")
         result = fresh_python("-c", script)
-        assert result.returncode == 0, result.stderr
-        codes, cases, numpy_loaded = json.loads(result.stdout)
+        assert (bare.returncode, result.returncode) == (0, 0), result.stderr
+        codes, cases, modules = ast.literal_eval(result.stdout)
         assert codes == [EXIT_OK] * len(argvs)
         assert cases == [
             "case=GENERIC_TWO", "case=NO_SOLUTION", "case=B_EQUALS_ONE", "case=MU_CASE",
         ] * len(queries)
-        assert not numpy_loaded
+        deferred = {"numpy", "diffspectrum.spectrum", "dataclasses", "json"}
+        assert not deferred & set(ast.literal_eval(bare.stdout))
+        assert not deferred & set(modules)
+        assert "diffspectrum.solver" in modules
 
     @pytest.mark.parametrize(
         "argv",
@@ -436,3 +445,13 @@ class TestOutput:
         code, out, _ = run(capsys, *argv)
         assert (result.returncode, code) == (EXIT_OK, EXIT_OK), result.stderr
         assert result.stdout == out
+
+
+def test_method_choices_are_spectrum_methods():
+    # the CLI spells the methods out so that its parser does not import
+    # spectrum; they must stay spectrum's
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    method = next(a for a in commands.choices["spectrum"]._actions if a.dest == "method")
+    assert method.choices == [spectrum.METHOD_FORMULA, spectrum.METHOD_BRUTEFORCE]
+    assert method.default == spectrum.METHOD_FORMULA

@@ -388,6 +388,16 @@ class TestSqrtFrobenius:
                 expected = oracle_naive.field_pow(field.modulus, a, 2 ** (j % field.degree))
                 assert field.frobenius2(a, j) == expected, (a, j)
 
+    def test_first_sqrt_builds_one_frobenius_table(self):
+        # the tables for j = 4n - 1 come from X^(2^j) alone, not from the
+        # tables of every smaller j
+        field = Field(15)
+        a = random.Random(15).randrange(1, field.size)
+        r = field.sqrt(a)
+        assert field.square(r) == a
+        built = [j for j, tables in enumerate(field._frobenius) if tables is not None]
+        assert built == [field.degree - 1]
+
     def test_linear_maps_never_go_through_pow(self, monkeypatch):
         def refuse(self, a, e):
             pytest.fail(f"pow({a:#x}, {e}) called")

@@ -494,3 +494,18 @@ class TestVerifyConjecture:
         report = verify_conjecture(field)
         assert report.passed
         assert report.bruteforce_histogram.entries == EXPECTED_HISTOGRAMS[2]
+
+
+def test_package_reads_spectrum_names_on_first_use():
+    # diffspectrum resolves these names through its module __getattr__, so
+    # importing the package does not import spectrum
+    import diffspectrum
+    from diffspectrum import spectrum
+
+    for name in diffspectrum.__all__:
+        assert hasattr(diffspectrum, name), name
+    for name in spectrum.__all__:
+        if name in diffspectrum.__all__:
+            assert getattr(diffspectrum, name) is getattr(spectrum, name), name
+    with pytest.raises(AttributeError):
+        diffspectrum.no_such_name  # noqa: B018

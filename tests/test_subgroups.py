@@ -12,8 +12,9 @@ from diffspectrum.errors import (
     NotInSubfield,
     ZeroElement,
 )
-from diffspectrum.field import Field
+from diffspectrum.field import Field, default_modulus, is_irreducible
 from diffspectrum.subgroups import (
+    ARTIN_SCHREIER,
     LOCATION_SUBFIELD,
     LOCATION_UNITY_COSET,
     c_plus_inv_decompose,
@@ -119,11 +120,46 @@ class TestArtinSchreier:
         field, k = Field(2), 4
         w = next(w for w in field.iter_subfield(k) if w and field.trace_rel(w, 1, k) == 0)
         solve_artin_schreier(field, w, k)
-        key = ("artin_schreier", k)
-        tables = field._linear_maps[key]
-        field._linear_maps[key] = tuple(array("Q", [0]) * len(t) for t in tables)
+        tables = field._linear_maps[ARTIN_SCHREIER]
+        field._linear_maps[ARTIN_SCHREIER] = tuple(array("Q", [0]) * len(t) for t in tables)
         with pytest.raises(InternalDegenerate):
             solve_artin_schreier(field, w, k)
+
+    @pytest.mark.parametrize(
+        "n, second_modulus, k",
+        [(15, False, 2), (15, False, 30), (15, False, 60),
+         *((3, True, k) for k in (1, 2, 3, 4, 6, 12))],
+    )
+    def test_seeded_roots_solve_and_lie_in_subfield(self, n, second_modulus, k):
+        # one root table per field serves every k, also past the sweep cap
+        # and under a modulus other than the default
+        modulus = None
+        if second_modulus:
+            degree = 4 * n
+            modulus = next(
+                f for f in range((1 << degree) | 1, 1 << (degree + 1), 2)
+                if is_irreducible(f) and f != default_modulus(degree)
+            )
+        field = Field(n, modulus)
+        basis = field.subfield_basis(k)
+        rng = random.Random(1000 * n + k)
+        solvable = 0
+        for _ in range(40):
+            w = 0
+            for v in basis:
+                if rng.getrandbits(1):
+                    w ^= v
+            roots = solve_artin_schreier(field, w, k).roots
+            if field.trace_rel(w, 1, k):
+                assert roots == ()
+                continue
+            solvable += 1
+            assert len(roots) == 2 and roots[0] ^ roots[1] == 1
+            for y in roots:
+                assert field.square(y) ^ y == w
+                assert field.in_subfield(y, k)
+        assert solvable
+        assert ARTIN_SCHREIER in field._linear_maps
 
 
 class TestSolveQuadratic:
