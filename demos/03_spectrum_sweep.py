@@ -17,7 +17,8 @@ from diffspectrum import (
     s2_enumerate,
 )
 
-# --- closed form vs exhaustive sweep, at every sweepable size ----------
+# --- closed form vs exhaustive sweep, n = 1..4 --------------------------
+# The sweep runs up to the 24-bit cap (n = 6); n = 5 and 6 take longer.
 for n in (1, 2, 3, 4):
     predicted = formula_histogram(n)
     swept = bruteforce_histogram(Field(n))

@@ -1,11 +1,16 @@
 """Whole-field analysis of the derivative equation x^d + (x+1)^d = b.
 
-This module provides the exhaustive oracle (a chunked numpy tally of
-solutions per b over all of GF(2^(4n)), which evaluates one x of each pair
-{x, x+a} on the field's cached x^d table), the closed-form solution-count
-histogram, enumeration of the two-solution family, differential-table rows
-for arbitrary nonzero a, and a verifier that cross-checks the constructive
-solver against the oracle element by element.
+This module provides the exhaustive oracle, the closed-form
+solution-count histogram, enumeration of the two-solution family,
+differential-table rows for arbitrary nonzero a, and a verifier that
+cross-checks the constructive solver against the oracle element by element.
+
+Every exhaustive sweep reads one generator of half-pair values: x and x + a
+give the same b, so it yields x^d + (x+a)^d for one x of each pair, in
+chunks, from strided views of the field's cached x^d table.  The per-b
+tally (``bruteforce_counts``, the bruteforce ``ddt_row`` and the
+verifier's oracle) adds them into one int64 array; ``bruteforce_histogram``
+sorts them and counts runs of equal values, so it builds no per-b array.
 
 The enumeration, the formula path of ``ddt_row`` and the verifier share
 one per-b pass, which runs the generic chain once per b after
@@ -95,38 +100,61 @@ def _require_within_cap(field: Field, what: str) -> None:
 # Exhaustive field sweep.
 # ---------------------------------------------------------------------
 
-def _derivative_tally(field: Field, a: Element) -> np.ndarray:
-    """Per-b solution tally of x^d + (x+a)^d = b over the whole field.
+def _pair_values(field: Field, a: Element) -> Iterator[np.ndarray]:
+    """Yield b = x^d + (x+a)^d for one x of every pair {x, x+a}, in blocks
+    of at most _EXP_CHUNK values.
 
-    x and x + a give the same b, so only the x whose bit at a's lowest set
-    bit is clear are evaluated, and the tally is doubled at the end.  The
-    i-th such x is i with a zero bit inserted there, i + (i & keep).  They
-    are taken _EXP_CHUNK at a time: each chunk gathers x^d and (x+a)^d from
-    ``Field.power_table()`` and adds its b values into one int64 tally.
+    x and x + a give the same b, so only the x whose bit k (a's lowest set
+    bit) is clear are taken.  Viewed as ``(rows, 2, 2^k)``,
+    ``Field.power_table()`` holds those x^d at ``[r, 0, c]`` and their
+    partners (x+a)^d at ``[r ^ s, 1, c]``, where s = a >> (k+1).  A block
+    takes ``step`` aligned rows.  The bits of s from ``step`` up move its
+    partner rows as a whole; the bits below (``spread``) permute them
+    within the block.  Without those, as for every power of two, a block
+    is one XOR of two strided views with no index array; with them the
+    partner rows are one row gather.
     """
     import numpy as np
 
-    power = field.power_table()
-    keep = np.uint32(field.group_order & -(a & -a))  # bits at and above a's lowest
-    shift = np.uint32(a)
+    low = a & -a
+    pairs = field.power_table().reshape(-1, 2, low)
+    rows = len(pairs)
+    shift = a // (2 * low)
+    step = max(1, _EXP_CHUNK // low)
+    spread = shift & (step - 1)
+    width = min(low, _EXP_CHUNK)
+    for r in range(0, rows, step):
+        count = min(step, rows - r)
+        start = r ^ shift ^ spread
+        if spread:
+            upper = np.take(pairs, np.arange(start, start + count) ^ spread, axis=0)[:, 1]
+        else:
+            upper = pairs[start:start + count, 1]
+        lower = pairs[r:r + count, 0]
+        for c in range(0, low, width):
+            yield lower[:, c:c + width] ^ upper[:, c:c + width]
+
+
+def _derivative_tally(field: Field, a: Element) -> np.ndarray:
+    """Per-b solution tally of x^d + (x+a)^d = b over the whole field.
+
+    Each block of ``_pair_values`` adds 2 at each of its b values (the two
+    x of a pair) into one int64 tally.
+    """
+    import numpy as np
+
     counts = np.zeros(field.size, dtype=np.int64)
-    half = field.size >> 1
-    for lo in range(0, half, _EXP_CHUNK):
-        x = np.arange(lo, min(lo + _EXP_CHUNK, half), dtype=np.uint32)
-        x += x & keep
-        values = power[x]
-        x ^= shift
-        values ^= power[x]
-        np.add.at(counts, values, 1)
-    counts *= 2
+    for values in _pair_values(field, a):
+        np.add.at(counts, values.ravel(), 2)
     return counts
 
 
 def bruteforce_counts(field: Field) -> np.ndarray:
     """Per-b solution tally of x^d + (x+1)^d = b over the whole field.
 
-    Returns an int64 array of length 2^(4n) indexed by b, from the chunked
-    half-pair tally.
+    Returns an int64 array of length 2^(4n) indexed by b, from the
+    half-pair tally (the pairs {x, x+1} are adjacent entries of the x^d
+    table).
     """
     _require_within_cap(field, "exhaustive tally")
     return _derivative_tally(field, 1)
@@ -201,9 +229,42 @@ def _histogram_from_counts(
 
 
 def bruteforce_histogram(field: Field) -> SpectrumHistogram:
-    """Histogram of per-b solution counts from the exhaustive sweep."""
-    counts = bruteforce_counts(field)
-    return _histogram_from_counts(field, counts, METHOD_BRUTEFORCE)
+    """Histogram of per-b solution counts from the exhaustive sweep.
+
+    Builds no per-b array: the 2^(4n-1) pair values of ``_pair_values``
+    (a = 1) fill one uint32 array, which is sorted in place.  A run of r
+    equal values is one b with 2r solutions; every b not in the array has
+    none.  Runs are found _EXP_CHUNK values at a time, each chunk compared
+    with the same chunk shifted back by one, so a run that crosses a seam
+    stays open until a later chunk starts the next one.
+    """
+    import numpy as np
+
+    _require_within_cap(field, "exhaustive tally")
+    values = np.empty(field.size >> 1, dtype=np.uint32)
+    end = 0
+    for block in _pair_values(field, 1):
+        values[end:end + block.size] = block.ravel()
+        end += block.size
+    values.sort()
+
+    entries: Dict[int, int] = {}  # 2r -> number of runs of length r
+    run_start = 0
+    for lo in range(1, end, _EXP_CHUNK):
+        hi = min(lo + _EXP_CHUNK, end)
+        starts = np.flatnonzero(values[lo:hi] != values[lo - 1:hi - 1]) + lo
+        if hi == end:
+            starts = np.append(starts, end)  # the last run ends with the array
+        if not len(starts):
+            continue  # the open run covers this whole chunk
+        found = np.bincount(np.diff(starts, prepend=run_start))
+        for length in np.flatnonzero(found).tolist():
+            entries[2 * length] = entries.get(2 * length, 0) + int(found[length])
+        run_start = int(starts[-1])
+    zeros = field.size - sum(entries.values())  # one run per b that has solutions
+    if zeros:
+        entries[0] = zeros
+    return SpectrumHistogram(n=field.n, method=METHOD_BRUTEFORCE, entries=entries)
 
 
 def _s2_family_size(q: int) -> int:
@@ -285,10 +346,12 @@ def ddt_row(field: Field, a: Element, method: str = METHOD_FORMULA) -> np.ndarra
     call on a field builds by the per-b classification pass (one chain per
     b, after ``field.ensure_tables()``) and keeps on the field;
     the bruteforce path tallies the derivative directly.  Both paths
-    agree.  ``a`` may be any integer type.
+    agree.  ``a`` may be any integer type but ``bool``.
     """
     import numpy as np
 
+    if isinstance(a, bool):
+        raise OutOfRange(f"direction must be an integer, got {a!r}")
     try:
         a = operator.index(a)
     except TypeError:

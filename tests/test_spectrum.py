@@ -114,6 +114,19 @@ class TestBruteforceHistogram:
         assert hist.method == METHOD_BRUTEFORCE
         assert hist.n == n
 
+    @pytest.mark.parametrize(
+        "n, modulus",
+        [(1, None), (2, None), (3, None), (4, None), (5, None), (2, 0x11D), (3, 0x1017)],
+    )
+    def test_matches_per_b_tally(self, n, modulus):
+        # The histogram counts runs in the sorted pair values, _EXP_CHUNK at
+        # a time; at n = 5 its 2^19 values take eight chunks, so a run that
+        # is miscounted where two chunks meet shows here.
+        field = Field(n, modulus)
+        tallies = np.bincount(bruteforce_counts(field))
+        expected = {count: int(mult) for count, mult in enumerate(tallies) if mult}
+        assert bruteforce_histogram(field).entries == expected
+
 
 class TestSweepCap:
     @pytest.mark.parametrize(
@@ -143,6 +156,18 @@ class TestSweepCap:
         assert field._exp is None and field._power is None
 
 
+def _traced_peak(call) -> int:
+    """Bytes that call() allocates at its peak, past what is live before it."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - before
+
+
 @pytest.fixture(scope="module")
 def swept_n6():
     """A fresh Field(6), its bruteforce histogram and the traced peak in
@@ -164,10 +189,25 @@ class TestSweepAtCap:
         assert hist.entries == formula_histogram(6).entries
 
     def test_peak_memory_per_element(self, swept_n6):
-        # The x^d table (4 bytes an element) and the int64 tally (8) plus
-        # chunk-sized temporaries; an exp table built on the way adds 4.
+        # Building the x^d table (4 bytes an element, and as much again in
+        # build temporaries) sets the peak; the pair values (2) come after
+        # them.  An exp table built on the way, or a per-b int64 tally,
+        # adds 4 or 8.
         field, _, peak = swept_n6
-        assert peak <= 13 * field.size
+        assert peak <= 9 * field.size
+
+    def test_warm_histogram_memory_per_element(self, swept_n6):
+        # The sorted uint32 pair values (2 bytes an element) and
+        # chunk-sized temporaries; no per-b array.
+        field, _, _ = swept_n6
+        assert _traced_peak(lambda: bruteforce_histogram(field)) <= 5 * field.size
+
+    def test_warm_bruteforce_row_memory_per_element(self, swept_n6):
+        # The int64 row (8 bytes an element) and chunk-sized temporaries.
+        field, _, _ = swept_n6
+        a = random.Random(6).randrange(1, field.size)
+        peak = _traced_peak(lambda: ddt_row(field, a, method=METHOD_BRUTEFORCE))
+        assert peak <= 9 * field.size
 
     def test_builds_no_exp_table(self, swept_n6):
         field, _, _ = swept_n6
@@ -333,6 +373,13 @@ class TestDdtRow:
             with pytest.raises(OutOfRange):
                 ddt_row(f1, direction, method=method)
 
+    @pytest.mark.parametrize("direction", [True, False])
+    def test_bool_direction_rejected(self, f1, direction):
+        # True would otherwise give the a = 1 row, and False a ZeroElement.
+        for method in (METHOD_FORMULA, METHOD_BRUTEFORCE):
+            with pytest.raises(OutOfRange):
+                ddt_row(f1, direction, method=method)
+
     def test_formula_row_one_is_built_once_per_field(self, chain_runs):
         field = Field(2)  # fresh: the session fixtures may hold the row
         ddt_row(field, 1, method=METHOD_FORMULA)
@@ -342,25 +389,39 @@ class TestDdtRow:
         assert chain_runs == Counter()
         assert np.array_equal(row, ddt_row(field, 0x53, method=METHOD_BRUTEFORCE))
 
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_bruteforce_row_matches_full_tally(self, n):
-        # The half-pair tally against the plain whole-field tally, for
-        # directions whose lowest set bit sits at the bottom, the top and
-        # the middle of the field, plus seeded ones.
-        field = Field(n)
+    @pytest.mark.parametrize(
+        "n, modulus",
+        [
+            pytest.param(2, None, id="2"),
+            pytest.param(3, None, id="3"),
+            pytest.param(4, None, id="4"),
+            pytest.param(5, None, id="5"),
+            pytest.param(2, 0x11D, id="2-0x11d"),
+        ],
+    )
+    def test_bruteforce_row_matches_full_tally(self, n, modulus):
+        # The half-pair tally against the plain tally over every x, with no
+        # pairing: every nonzero a up to 12 bits.  At n = 4 and 5, every
+        # a = 2^k (a strided XOR of two views) and, for each k below the top
+        # bit, two seeded a with lowest set bit k and bits above it: their
+        # partner rows are a gather, and at n = 5 with k >= 16, where a
+        # block is one row, a second strided view.
+        field = Field(n, modulus)
         m, size = field.degree, field.size
-        rng = random.Random(n)
-        directions = [
-            1,
-            1 << (m - 1),
-            1 << (2 * n),
-            (1 << (m - 1)) | (1 << (2 * n)),
-            size - 1,
-            *(rng.randrange(1, size) for _ in range(4)),
-        ]
+        if m <= 12:
+            directions = range(1, size)
+        else:
+            rng = random.Random(n)
+            directions = [1 << k for k in range(m)] + [size - 1]
+            directions += [
+                (1 << k) | rng.randrange(1, 1 << (m - k - 1)) << (k + 1)
+                for k in range(m - 1)
+                for _ in range(2)
+            ]
         power = field.power_table()
+        x = np.arange(size)
         for a in directions:
-            expected = np.bincount(power ^ power[np.arange(size) ^ a], minlength=size)
+            expected = np.bincount(power[x] ^ power[x ^ a], minlength=size)
             row = ddt_row(field, a, method=METHOD_BRUTEFORCE)
             assert row.dtype == np.int64
             assert np.array_equal(row, expected), hex(a)
