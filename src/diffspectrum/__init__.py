@@ -44,14 +44,12 @@ from .solver import (
     iter_mu_witnesses,
     solve,
     solve_b_equals_1,
-    solve_generic,
     solve_mu_case,
     verify_solution,
 )
 from .subgroups import (
     QuadraticRoots,
     c_plus_inv_decompose,
-    mu_member,
     solve_artin_schreier,
     solve_quadratic,
     solve_t_from_T,
@@ -67,7 +65,6 @@ _SPECTRUM_NAMES = frozenset({
     "ddt_row",
     "formula_histogram",
     "s2_enumerate",
-    "s2_members",
     "verify_conjecture",
 })
 
@@ -120,13 +117,10 @@ __all__ = [
     "is_in_s2",
     "is_irreducible",
     "iter_mu_witnesses",
-    "mu_member",
     "s2_enumerate",
-    "s2_members",
     "solve",
     "solve_artin_schreier",
     "solve_b_equals_1",
-    "solve_generic",
     "solve_mu_case",
     "solve_quadratic",
     "solve_t_from_T",

@@ -29,6 +29,7 @@ commands, and ``json`` is imported only for ``--format json``, so a text
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from typing import List, Optional, Tuple
 
@@ -65,6 +66,11 @@ FORMAT_CSV = "csv"
 # that building the parser does not import spectrum
 METHOD_FORMULA = "formula"
 METHOD_BRUTEFORCE = "bruteforce"
+
+
+# --modulus: hex digits with an optional 0x prefix, and nothing else (no
+# sign, underscore or whitespace, which int(s, 16) would let through)
+_MODULUS_RE = re.compile(r"(0[xX])?[0-9a-fA-F]+")
 
 
 class _CliError(Exception):
@@ -119,10 +125,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def _build_field(args: argparse.Namespace) -> Field:
     modulus: Optional[int] = None
     if args.modulus is not None:
-        try:
-            modulus = int(args.modulus, 16)
-        except ValueError:
-            raise _CliError(f"--modulus is not valid hex: {args.modulus!r}") from None
+        if not _MODULUS_RE.fullmatch(args.modulus):
+            raise _CliError(f"--modulus is not valid hex: {args.modulus!r}")
+        modulus = int(args.modulus, 16)
     return Field(args.n, modulus)
 
 

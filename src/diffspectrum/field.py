@@ -9,13 +9,9 @@ every derived constant the rest of the library needs:
     d           = q^3 + q^2 + q - 1   (the exponent under study)
     group_order = q^4 - 1             = (q-1)(q+1)(q^2+1)
 
-exp_table(), the powers g^i of the primitive element g, and power_table(),
-the map x -> x^d, are numpy arrays built once per field and kept on it.
-Both come from the same blocks of consecutive powers (_power_blocks):
-exp_table() from those of g, power_table() by scattering the powers of
-h = g^d onto those of g, so the exhaustive sweeps, which index only
-power_table(), never build the exp table; power_table() built after
-exp_table() reuses it for the powers of g.
+power_table(), the map x -> x^d, is a numpy array built once per field
+and kept on it, by scattering the blocks of consecutive powers of
+h = g^d (_power_blocks) onto those of the primitive element g.
 
 Every GF(2)-linear map is one lookup per byte of a in byte-sliced tables
 (_byte_tables), on every field.  frobenius2(a, j) = a^(2^j) reads
@@ -23,18 +19,18 @@ ceil(4n/8) tables of up to 256 entries for j mod 4n.  Each j's tables are
 built on first use and on their own, from r = X^(2^j): the image of X^i
 is r^i, so a first sqrt at n = 15 builds one set of tables, not 60.
 sqrt, frobenius_q, in_subfield and the trace tables go through
-frobenius2; trace_rel keeps its tables by (l, k) and apply_linear those
-of the other maps by key.  pow(a, e) multiplies the images a^(2^i) over
-the set bits i of e, square is schoolbook and div is mul(a, inv(b)).
-Only mul and inv take one of two paths: after ensure_tables() on a field
-of degree <= TABLE_FAST_PATH_BITS each is one lookup in discrete-log lists
-derived from the exp table, and those lists also carry solver's generic
-chain, which indexes them itself.  Otherwise mul is a schoolbook
-shift-and-reduce and inv is extended Euclid.
+frobenius2; every other linear map, the relative traces among them, keeps
+its tables by key in apply_linear.  pow(a, e) multiplies the images
+a^(2^i) over the set bits i of e, square is schoolbook and div is
+mul(a, inv(b)).  Only mul and inv take one of two paths: after
+ensure_tables() on a field of degree <= TABLE_FAST_PATH_BITS each is one
+lookup in discrete-log lists built from _power_blocks of g, and those
+lists also carry solver's generic chain, which indexes them itself.
+Otherwise mul is a schoolbook shift-and-reduce and inv is extended Euclid.
 
-numpy is imported only inside the functions that build arrays: exp_table(),
-power_table(), ensure_tables() and the byte-product helpers behind them and
-the sweeps.
+numpy is imported only inside the functions that build arrays:
+power_table(), ensure_tables() and the byte-product helpers behind them
+and the sweeps.
 The scalar path (mul, inv, pow, Frobenius, trace, norm) never loads it, so
 a process that only classifies or solves single b skips the import.
 
@@ -47,7 +43,7 @@ import math
 import re
 from array import array
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Hashable, Iterator
+from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 
 from .errors import (
     DegreeMismatch,
@@ -79,11 +75,11 @@ TABLE_FAST_PATH_BITS = 20
 # over every b exists to fill and reuse them.
 BRUTEFORCE_CAP_BITS = 24
 
-# exp_table() and power_table() build their tables _EXP_CHUNK entries at a
-# time (_power_blocks), and the sweeps in spectrum work in the same chunks:
-# each block of half-pair values, each step of the histogram's run count over
-# its sorted values, and each batch of the verifier's root re-check.  The
-# temporaries of each step stay small enough for the caches.
+# ensure_tables() and power_table() build their tables _EXP_CHUNK entries
+# at a time (_power_blocks), and the sweeps in spectrum work in the same
+# chunks: each block of half-pair values, each step of the histogram's run
+# count over its sorted values, and each batch of the verifier's root
+# re-check.  The temporaries of each step stay small enough for the caches.
 _EXP_CHUNK = 1 << 16
 
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+\Z")
@@ -182,6 +178,31 @@ def _lookup(tables: tuple[array, ...], a: int) -> int:
     return r
 
 
+def _echelon(pairs: Iterable[tuple[int, int]]) -> tuple[list[tuple[int, int]], list[int]]:
+    """Gaussian elimination over GF(2) of (vector, tag) pairs, in order.
+
+    Each tag rides along with its vector: whenever a row is added to a
+    vector, the row's tag is added to the vector's tag.  Returns the rows
+    in reduced echelon form, no row's leading bit set in another, with
+    their tags, and the tags of the vectors that reduced to 0.  The rows
+    span the vectors and are unique for that span, whatever the order.
+    """
+    rows: list[tuple[int, int]] = []
+    zeros: list[int] = []
+    for vec, tag in pairs:
+        for v, t in rows:
+            if vec >> (v.bit_length() - 1) & 1:
+                vec ^= v
+                tag ^= t
+        if vec:
+            lead = vec.bit_length() - 1
+            rows = [(v ^ vec, t ^ tag) if v >> lead & 1 else (v, t) for v, t in rows]
+            rows.append((vec, tag))
+        else:
+            zeros.append(tag)
+    return rows, zeros
+
+
 def _byte_product_tables(row: np.ndarray, field: Field) -> tuple[np.ndarray, ...]:
     """_byte_tables of c -> c * row, which is GF(2)-linear in c: entry v of
     table k is the uint32 row (v << 8k) * row.  The images X^j * row come
@@ -276,7 +297,6 @@ class Field:
         # whose (pairwise coprime) product is the full group order.
         self.unity_factors = (self.q - 1, self.q + 1, self.q ** 2 + 1)
 
-        self._exp: np.ndarray | None = None
         self._power: np.ndarray | None = None
         # The a = 1 differential row of the formula path, kept by
         # spectrum.ddt_row once its per-b pass has built it.
@@ -444,20 +464,16 @@ class Field:
     def trace_rel(self, a: int, l: int, k: int) -> int:
         """Relative trace from GF(2^k) down to GF(2^l): sum of a^(2^(l*i)).
 
-        The sum is GF(2)-linear in a, so it is evaluated through a table
-        built once per (l, k) from the basis images of _trace_sum; a call
-        that finds the table builds no callable.
+        The sum is GF(2)-linear in a, so it is the linear map ("trace", l, k)
+        of apply_linear, built once per (l, k) from the basis images of
+        _trace_sum.
         """
         self._check_tower(a, l, k)
-        tables = self._linear_maps.get(("trace", l, k))
-        if tables is None:
-            tables = self._trace_tables(l, k)
-        return _lookup(tables, a)
-
-    def _trace_tables(self, l: int, k: int) -> tuple[array, ...]:
-        images = [self._trace_sum(1 << j, l, k) for j in range(self.degree)]
-        tables = self._linear_maps[("trace", l, k)] = _byte_tables(images)
-        return tables
+        return self.apply_linear(
+            ("trace", l, k),
+            lambda: [self._trace_sum(1 << j, l, k) for j in range(self.degree)],
+            a,
+        )
 
     def _trace_sum(self, a: int, l: int, k: int) -> int:
         """The defining sum a + a^(2^l) + ... + a^(2^(l*(k/l - 1))), any a."""
@@ -511,41 +527,19 @@ class Field:
         return self._subfield_bases[k]
 
     def _compute_subfield_basis(self, k: int) -> tuple[int, ...]:
-        m = self.degree
-        # kernel of the GF(2)-linear map x -> x^(2^k) + x
-        pivots: dict[int, tuple[int, int]] = {}
-        kernel = []
-        for j in range(m):
-            vec = self.frobenius2(1 << j, k) ^ (1 << j)
-            mask = 1 << j
-            while vec:
-                lead = vec.bit_length() - 1
-                if lead not in pivots:
-                    pivots[lead] = (vec, mask)
-                    break
-                pv, pm = pivots[lead]
-                vec ^= pv
-                mask ^= pm
-            else:
-                kernel.append(mask)  # the mask *is* the fixed element
+        # kernel of the GF(2)-linear map x -> x^(2^k) + x: the tag of an
+        # image that reduces to 0 is the fixed element itself
+        _, kernel = _echelon(
+            (self.frobenius2(1 << j, k) ^ (1 << j), 1 << j) for j in range(self.degree))
         if len(kernel) != k:
             raise InternalDegenerate(
                 f"x -> x^(2^{k}) + x has a kernel of dimension {len(kernel)}, not {k}")
         # reduced echelon form: distinct leading bits, none present in the
         # other vectors, sorted ascending -> index enumeration is monotone
-        basis: list[int] = []
-        for v in kernel:
-            for b in basis:
-                if (v >> (b.bit_length() - 1)) & 1:
-                    v ^= b
-            if v:
-                lead = v.bit_length() - 1
-                basis = [b ^ v if (b >> lead) & 1 else b for b in basis]
-                basis.append(v)
-        basis.sort()
-        if len(basis) != k:
-            raise InternalDegenerate(f"reduced basis of GF(2^{k}) has {len(basis)} vectors")
-        return tuple(basis)
+        rows, _ = _echelon((v, 0) for v in kernel)
+        if len(rows) != k:
+            raise InternalDegenerate(f"reduced basis of GF(2^{k}) has {len(rows)} vectors")
+        return tuple(sorted(v for v, _ in rows))
 
     def iter_subfield(self, k: int) -> Iterator[int]:
         """All 2^k elements of GF(2^k), in increasing integer order."""
@@ -601,46 +595,22 @@ class Field:
             self._primitive = g
         return self._primitive
 
-    def exp_table(self) -> np.ndarray:
-        """Read-only uint32 array of length q^4 - 1 with exp[i] = g^i for
-        the primitive element g; built once per field and shared by every
-        caller.  Its blocks come from _power_blocks(g).
-        """
-        import numpy as np
-
-        if self._exp is None:
-            exp = np.empty(self.size, dtype=np.uint32)
-            lo = 0
-            for block in self._power_blocks(self.primitive_element()):
-                exp[lo:lo + block.size] = block
-                lo += block.size
-            exp = exp[:self.group_order]
-            exp.flags.writeable = False
-            self._exp = exp
-        return self._exp
-
     def power_table(self) -> np.ndarray:
         """Read-only uint32 array of length q^4 with P[x] = x^d for every
         element x; built once per field and shared by every caller.
 
         With h = g^d, the element g^i maps to g^(i d) = h^i, so each block
-        of _power_blocks(h) is scattered onto the matching powers of g: a
-        slice of the exp table once exp_table() has run, else the matching
-        block of _power_blocks(g), which builds no exp table.  The powers
-        of h run to h^(q^4 - 1) = 1, one past the end of the exp table, and
-        that last one only rewrites P[1] = 1; P[0] = 0.
+        of _power_blocks(h) is scattered onto the matching block of
+        _power_blocks(g).  Both run to the power q^4 - 1, which is 1 and
+        only rewrites P[1] = 1; P[0] = 0.
         """
         import numpy as np
 
         if self._power is None:
             g = self.primitive_element()
-            g_blocks = self._power_blocks(g) if self._exp is None else None
             table = np.zeros(self.size, dtype=np.uint32)
-            lo = 0
-            for y in self._power_blocks(self.pow(g, self.d)):
-                x = self._exp[lo:lo + y.size] if g_blocks is None else next(g_blocks)
-                table[x] = y[:x.size]
-                lo += y.size
+            for x, y in zip(self._power_blocks(g), self._power_blocks(self.pow(g, self.d))):
+                table[x] = y
             table.flags.writeable = False
             self._power = table
         return self._power
@@ -677,16 +647,18 @@ class Field:
         solver.generic_intermediates to its exponent form (idempotent);
         nothing else changes.
 
-        Only fields of degree <= TABLE_FAST_PATH_BITS switch: their exp and
-        log lists come from exp_table(), log by one scatter (log[0] is a
-        dead slot).  Above that degree the call does nothing.  The tables
-        stay Python lists because indexing numpy scalars is slower.
+        Only fields of degree <= TABLE_FAST_PATH_BITS switch: their exp
+        list holds g^i for i < q^4 - 1, from _power_blocks(g), and the log
+        list comes from it by one scatter (log[0] is a dead slot).  Above
+        that degree the call does nothing.  The tables stay Python lists
+        because indexing numpy scalars is slower.
         """
         if self._tables is not None or self.degree > TABLE_FAST_PATH_BITS:
             return
         import numpy as np
 
-        exp = self.exp_table()
+        exp = np.concatenate(list(self._power_blocks(self.primitive_element())))
+        exp = exp[:self.group_order]
         log = np.zeros(self.size, dtype=np.int64)
         log[exp] = np.arange(self.group_order)
         self._tables = (exp.tolist(), log.tolist())

@@ -63,7 +63,6 @@ __all__ = [
     "iter_mu_witnesses",
     "solve",
     "solve_b_equals_1",
-    "solve_generic",
     "solve_mu_case",
     "verify_solution",
 ]
@@ -75,7 +74,6 @@ CASE_NO_SOLUTION = "NO_SOLUTION"
 
 VARIANT_SUBFIELD_Q2 = "subfield_q2"
 VARIANT_EXPLICIT = "explicit"
-VARIANT_EMPTY = "empty"
 
 # Failure tags reported by the generic chain.  Each names the first
 # quantity that degenerated; all of them certify "no solutions for b".
@@ -94,6 +92,9 @@ FAIL_Z_ZERO = "z_vanishes"
 
 
 def _require_element(field: Field, value: Element, name: str = "b") -> None:
+    # one identity test per b: it rejects bool, float, str and None alike
+    if type(value) is not int:
+        raise PreconditionViolated(f"{name} must be an int, got {value!r}")
     if not 0 <= value < field.size:
         raise PreconditionViolated(
             f"{name} = {value:#x} is outside the field of degree {field.degree}"
@@ -133,9 +134,9 @@ class Classification(NamedTuple):
 class SolutionSet:
     """Immutable container for the roots of x^d + (x+1)^d = b.
 
-    Three shapes exist: the full subfield GF(q^2) (b = 1), an explicit
-    sorted tuple of elements (mu case and generic case), and the empty
-    set.  The subfield shape stores no elements; iteration walks the
+    Two shapes exist: the full subfield GF(q^2) (b = 1), and an explicit
+    sorted tuple of elements (mu case and generic case; empty when b has
+    no roots).  The subfield shape stores no elements; iteration walks the
     subfield lazily and membership tests use the Frobenius fixed-point
     check, so ``len`` stays O(1) even when q^2 is large.
     """
@@ -169,7 +170,8 @@ class SolutionSet:
 
     @classmethod
     def empty(cls, field: Field) -> "SolutionSet":
-        return cls(field, VARIANT_EMPTY, ())
+        """The explicit set with no roots."""
+        return cls(field, VARIANT_EXPLICIT, ())
 
     # -- container protocol -------------------------------------------
 
@@ -571,18 +573,6 @@ def is_in_s2(field: Field, b: Element) -> bool:
     """Membership test for the two-solution family: True exactly when
     ``classify`` assigns b to ``CASE_GENERIC_TWO``."""
     return _classify_with_chain(field, b)[0].case == CASE_GENERIC_TWO
-
-
-def solve_generic(field: Field, b: Element) -> SolutionSet:
-    """The two roots {x, x+1} for a generic b, or the empty set.
-
-    x comes from the chain's completed branch, verified there; x+1 has
-    the same value of x^d + (x+1)^d, so it needs no second check.
-    """
-    classification, chain = _classify_with_chain(field, b)
-    if classification.case != CASE_GENERIC_TWO:
-        return SolutionSet.empty(field)
-    return _solution_set(field, b, classification, chain)
 
 
 # ---------------------------------------------------------------------

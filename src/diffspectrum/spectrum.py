@@ -80,7 +80,6 @@ __all__ = [
     "eval_derivative",
     "formula_histogram",
     "s2_enumerate",
-    "s2_members",
     "verify_conjecture",
 ]
 
@@ -317,18 +316,15 @@ def _classified(
             yield b, _GENERIC_TWO if chain.failure is None else _NO_SOLUTION, chain
 
 
-def s2_members(field: Field) -> Iterator[Element]:
-    """Yield every b with exactly two solutions, in ascending order, from
-    the per-b pass (one chain per b; switches ``field`` to tables)."""
-    _require_within_cap(field, "two-solution family enumeration")
-    for b, classification, _ in _classified(field):
-        if classification.case == CASE_GENERIC_TWO:
-            yield b
-
-
 def s2_enumerate(field: Field) -> Tuple[int, Tuple[Element, ...]]:
-    """(count, members) of the two-solution family, from one per-b pass."""
-    members = tuple(s2_members(field))
+    """(count, members) of the two-solution family, members in ascending
+    order, from the per-b pass (one chain per b; switches ``field`` to
+    tables)."""
+    _require_within_cap(field, "two-solution family enumeration")
+    members = tuple(
+        b for b, classification, _ in _classified(field)
+        if classification.case == CASE_GENERIC_TWO
+    )
     return len(members), members
 
 

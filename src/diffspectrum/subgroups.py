@@ -1,4 +1,4 @@
-"""Roots-of-unity subgroups of GF(2^(4n))* and the c + 1/c machinery.
+"""The c + 1/c machinery over the roots-of-unity subgroups of GF(2^(4n))*.
 
 The multiplicative group has order q^4 - 1 = (q-1)(q+1)(q^2+1) with the
 three factors pairwise coprime, so every nonzero x splits uniquely as
@@ -11,8 +11,8 @@ in mu_(2^m + 1), decided by the absolute trace of 1/z.  Solving the
 derivative equation reduces to locating such roots, so the Artin-Schreier
 and quadratic solvers live here too.  Every Artin-Schreier root on a field
 comes from one table: a GF(2)-linear right inverse of y -> y^2 + y on the
-whole field, found once by Gaussian elimination, serves every subfield
-GF(2^k).
+whole field, found once by the field module's one GF(2) elimination
+(_echelon), serves every subfield GF(2^k).
 
 solve_t_from_T is memoised per field.  Its T always lies in GF(q^2)*, so
 however many b the solver handles, at most q^2 - 1 distinct T occur: the
@@ -32,7 +32,7 @@ from .errors import (
     OutOfRange,
     ZeroElement,
 )
-from .field import BRUTEFORCE_CAP_BITS, Field
+from .field import BRUTEFORCE_CAP_BITS, Field, _echelon
 
 LOCATION_SUBFIELD = "subfield"
 LOCATION_UNITY_COSET = "unity_coset"
@@ -50,13 +50,6 @@ class QuadraticRoots(NamedTuple):
 
     roots: tuple[int, ...]
     location: str | None = None
-
-
-def mu_member(field: Field, a: int, m: int) -> bool:
-    """Whether a is an m-th root of unity; m must divide q^4 - 1."""
-    if m < 1 or field.group_order % m:
-        raise OutOfRange(f"mu_{m} is not a subgroup: {m} does not divide q^4 - 1")
-    return a != 0 and field.pow(a, m) == 1
 
 
 def solve_artin_schreier(field: Field, w: int, k: int) -> QuadraticRoots:
@@ -86,23 +79,15 @@ def _artin_schreier_images(field: Field) -> list[int]:
     R(w)^2 + R(w) = w for every w of absolute trace 0.
 
     S(y) = y^2 + y is GF(2)-linear with kernel {0, 1}, so its image is the
-    hyperplane of trace-0 elements.  Gaussian elimination over the images
-    S(X^j) = X^(2j) + X^j keeps 4n - 1 rows in reduced echelon form, each
-    with the preimage it came from; a w in the image is the sum of the
-    rows whose leading bits it has set, so R(X^i) is the preimage of the
-    row led by bit i, and 0 for the one bit that leads no row.
+    hyperplane of trace-0 elements.  Gaussian elimination (field._echelon)
+    of the images S(X^j) = X^(2j) + X^j, each tagged with X^j, gives 4n - 1
+    rows in reduced echelon form, each with the preimage it came from; a w
+    in the image is the sum of the rows whose leading bits it has set, so
+    R(X^i) is the preimage of the row led by bit i, and 0 for the one bit
+    that leads no row.
     """
-    rows: list[tuple[int, int]] = []  # (S(p), p), no row's lead set in another
-    for j in range(field.degree):
-        vec, pre = field.square(1 << j) ^ (1 << j), 1 << j
-        for v, p in rows:
-            if vec >> (v.bit_length() - 1) & 1:
-                vec ^= v
-                pre ^= p
-        if vec:
-            lead = vec.bit_length() - 1
-            rows = [(v ^ vec, p ^ pre) if v >> lead & 1 else (v, p) for v, p in rows]
-            rows.append((vec, pre))
+    rows, _ = _echelon(
+        (field.square(1 << j) ^ (1 << j), 1 << j) for j in range(field.degree))
     if len(rows) != field.degree - 1:
         raise InternalDegenerate(
             f"y^2 + y has an image of dimension {len(rows)}, not {field.degree - 1}")

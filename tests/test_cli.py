@@ -304,6 +304,25 @@ class TestModulusHandling:
         )
         assert code == EXIT_BAD_MODULUS
 
+    # int(s, 16) takes every one of these; --b rejects them too
+    @pytest.mark.parametrize(
+        "modulus", ["0x1_f", "1_f", " 0x1f", "0x1f ", "0x1f\n", "+0x1f", "0x+1f", "0x"]
+    )
+    def test_loose_hex_spellings_rejected(self, capsys, modulus):
+        code, out, err = run(
+            capsys, "classify", "--n", "1", "--b", "0x1", f"--modulus={modulus}"
+        )
+        assert code == EXIT_BAD_MODULUS
+        assert out == "" and err.startswith("error: --modulus is not valid hex")
+
+    @pytest.mark.parametrize("modulus", ["1f", "0X1F", "0x1F"])
+    def test_prefix_optional_and_case_free(self, capsys, modulus):
+        code, out, _ = run(
+            capsys, "classify", "--n", "1", "--b", "0x1", "--modulus", modulus
+        )
+        assert code == EXIT_OK
+        assert out == "case=B_EQUALS_ONE count=4\n"
+
     @pytest.mark.parametrize("modulus", ["--modulus=-0x13", "--modulus=0"])
     def test_nonpositive_rejected(self, capsys, modulus):
         code, _, err = run(capsys, "classify", "--n", "1", "--b", "0x1", modulus)

@@ -241,27 +241,37 @@ class TestRingAxioms:
 
 
 class TestExpTable:
+    # The exp list of ensure_tables() holds g^i for the primitive element g;
+    # above TABLE_FAST_PATH_BITS, where no list is built, the blocks of
+    # powers behind power_table() are checked instead.
     @pytest.mark.parametrize("n,samples", [(1, None), (2, None), (3, None), (5, 64), (6, 64)])
     def test_entries_are_powers_of_the_primitive_element(self, n, samples):
         field = Field(n)
-        exp = field.exp_table()
-        assert exp.dtype == np.uint32 and exp.shape == (field.group_order,)
+        field.ensure_tables()
+        g = field.primitive_element()
+        if field.degree <= TABLE_FAST_PATH_BITS:
+            exp, log = field._tables
+            assert len(exp) == field.group_order and len(log) == field.size
+        else:
+            assert field._tables is None
+            exp = np.concatenate(list(field._power_blocks(g)))
+            assert exp.dtype == np.uint32 and exp.shape == (field.size,)
+            log = None
         if samples is None:
             indices = range(field.group_order)
         else:
             rng = random.Random(42)
             indices = [0, 1, field.group_order - 1,
                        *(rng.randrange(field.group_order) for _ in range(samples))]
-        g = field.primitive_element()
         for i in indices:
             assert int(exp[i]) == oracle_naive.field_pow(field.modulus, g, i), i
-        assert field.exp_table() is exp
+            assert log is None or log[exp[i]] == i, i
 
     def test_ensure_tables_above_fast_path_degree_builds_nothing(self):
         field = Field(6)
         assert field.degree > TABLE_FAST_PATH_BITS
         field.ensure_tables()
-        assert field._tables is None and field._exp is None
+        assert field._tables is None and field._power is None
 
     def test_sweeps_on_one_field_build_the_table_once(self, monkeypatch):
         builds = []
@@ -284,23 +294,6 @@ class TestExpTable:
         assert builds == [256, 256]
         assert field.power_table() is power
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_power_table_reuses_a_built_exp_table(self, monkeypatch, n):
-        builds = []
-        original = field_module._byte_product_tables
-
-        def counted(row, field):
-            builds.append(len(row))
-            return original(row, field)
-
-        monkeypatch.setattr(field_module, "_byte_product_tables", counted)
-        field = Field(n)
-        field.exp_table()
-        assert builds == [field.q ** 2]  # the powers of g
-        power = field.power_table()
-        assert builds == [field.q ** 2] * 2  # and only those of h = g^d
-        assert np.array_equal(power, Field(n).power_table())
-
     @pytest.mark.parametrize("n,samples", [(1, None), (2, None), (3, None), (5, 256)])
     def test_power_table_entries_are_d_th_powers(self, n, samples):
         field = Field(n)  # fresh: pow stays on the schoolbook path
@@ -320,7 +313,8 @@ class TestExpTable:
     def test_power_table_matches_exp_table_definition(self, n, modulus):
         # g^i maps to g^(i d): P[exp[i]] = exp[i d mod (q^4 - 1)], P[0] = 0.
         field = Field(n, modulus)
-        exp = field.exp_table()
+        field.ensure_tables()
+        exp = np.array(field._tables[0], dtype=np.uint32)
         exponents = np.arange(field.group_order, dtype=np.int64) * field.d % field.group_order
         expected = np.zeros(field.size, dtype=np.uint32)
         expected[exp] = exp[exponents]
@@ -606,9 +600,8 @@ class TestHexCodec:
 
 
 # Parameters a field of degree 4 (n = 1) does not have: a negative
-# Frobenius power, a degree 3 that divides neither 4 nor the tower, and
-# the subgroup order 7, which does not divide q^4 - 1 = 15; and a modulus
-# degree below 1.
+# Frobenius power and a degree 3 that divides neither 4 nor the tower; and
+# a modulus degree below 1.
 BAD_PARAMETER_CALLS = {
     "default_modulus": lambda f: default_modulus(0),
     "frobenius_q": lambda f: f.frobenius_q(1, -1),
@@ -617,7 +610,6 @@ BAD_PARAMETER_CALLS = {
     "in_subfield": lambda f: f.in_subfield(1, 3),
     "subfield_basis": lambda f: f.subfield_basis(3),
     "trace_one_element": lambda f: f.trace_one_element(3),
-    "mu_member": lambda f: subgroups.mu_member(f, 1, 7),
     "solve_artin_schreier": lambda f: subgroups.solve_artin_schreier(f, 1, 3),
     "solve_quadratic": lambda f: subgroups.solve_quadratic(f, 1, 1, 3),
 }

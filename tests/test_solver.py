@@ -37,7 +37,6 @@ from diffspectrum.solver import (
     iter_mu_witnesses,
     solve,
     solve_b_equals_1,
-    solve_generic,
     solve_mu_case,
     verify_solution,
 )
@@ -94,6 +93,9 @@ class TestVerifySolution:
 # Public entry points that take an x or a b, each called with the value under
 # test in that slot and a field element in any other.
 RANGE_CHECKED_ENTRIES = {
+    "classify.b": lambda field, v: classify(field, v),
+    "solve.b": lambda field, v: solve(field, v),
+    "generic_intermediates.b": lambda field, v: generic_intermediates(field, v),
     "eval_derivative.x": lambda field, v: eval_derivative(field, v),
     "verify_solution.x": lambda field, v: verify_solution(field, v, 0),
     "verify_solution.b": lambda field, v: verify_solution(field, 0, v),
@@ -107,7 +109,8 @@ RANGE_CHECKED_ENTRIES = {
 def test_out_of_range_element_rejected(entry, n):
     field = Field(n)
     call = RANGE_CHECKED_ENTRIES[entry]
-    for value in (field.size, field.size | 0x2, -1):
+    # past either end of the field, or no int at all, whatever its value
+    for value in (field.size, field.size | 0x2, -1, True, 1.0, 2.0, "0x2", None):
         with pytest.raises(PreconditionViolated):
             call(field, value)
 
@@ -259,13 +262,17 @@ class TestGenericCase:
         with pytest.raises(PreconditionViolated):
             generic_intermediates(f2, 1)
 
-    def test_solve_generic_returns_empty_inside_gf_q2(self, f2):
-        assert len(solve_generic(f2, 1)) == 0
+    def test_solve_returns_explicit_empty_set_without_roots(self, f2):
+        # b = 0 lies in GF(q^2) but not in mu_(q+1): no roots
+        classification, solutions = solve(f2, 0)
+        assert classification.case == CASE_NO_SOLUTION
+        assert len(solutions) == 0 and list(solutions) == []
+        assert solutions.variant == "explicit"
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     @pytest.mark.parametrize(
         "entry",
-        [is_in_s2, solve_generic, generic_intermediates],
+        [is_in_s2, solve, generic_intermediates],
         ids=lambda entry: entry.__name__,
     )
     def test_out_of_range_b_rejected(self, entry, n):
@@ -280,7 +287,8 @@ class TestGenericCase:
         for b in range(1 << field.degree):
             if not is_in_s2(field, b):
                 continue
-            solutions = solve_generic(field, b)
+            classification, solutions = solve(field, b)
+            assert classification.case == CASE_GENERIC_TWO
             assert len(solutions) == 2
             xs = sorted(solutions)
             assert xs[1] == xs[0] ^ 1  # the complementary pair
@@ -295,7 +303,7 @@ class TestGenericCase:
             if field.in_subfield(b, 2 * n) or is_in_s2(field, b):
                 continue
             assert oracle.get(b, set()) == set()
-            assert len(solve_generic(field, b)) == 0
+            assert len(solve(field, b)[1]) == 0
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_chain_invariants_for_every_member(self, fields, n):
