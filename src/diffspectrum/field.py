@@ -21,12 +21,11 @@ is r^i, so a first sqrt at n = 15 builds one set of tables, not 60.
 sqrt, frobenius_q, in_subfield and the trace tables go through
 frobenius2; every other linear map, the relative traces among them, keeps
 its tables by key in apply_linear.  pow(a, e) multiplies the images
-a^(2^i) over the set bits i of e, square is schoolbook and div is
-mul(a, inv(b)).  Only mul and inv take one of two paths: after
-ensure_tables() on a field of degree <= TABLE_FAST_PATH_BITS each is one
-lookup in discrete-log lists built from _power_blocks of g, and those
-lists also carry solver's generic chain, which indexes them itself.
-Otherwise mul is a schoolbook shift-and-reduce and inv is extended Euclid.
+a^(2^i) over the set bits i of e, mul and square are a schoolbook
+shift-and-reduce, inv is extended Euclid and div is mul(a, inv(b)), one
+path each on every field.  ensure_tables() builds discrete-log lists from
+_power_blocks of g on a field of degree <= TABLE_FAST_PATH_BITS; only
+solver's generic chain reads them, and no Field method changes its result.
 
 numpy is imported only inside the functions that build arrays:
 power_table(), ensure_tables() and the byte-product helpers behind them
@@ -63,10 +62,10 @@ Element = int
 # Degree cap: keeps q^4 - 1 within 64 bits so encodings stay portable.
 MAX_N = 15
 
-# After ensure_tables(), mul, inv and solver's generic chain index the log
-# tables up to this field degree.  Beyond it ensure_tables() does nothing,
-# since two Python lists of 2^24 ints take seconds and over a gigabyte to
-# build; there, and before ensure_tables(), mul and inv are schoolbook.
+# After ensure_tables(), solver's generic chain indexes the log tables up
+# to this field degree.  Beyond it ensure_tables() does nothing, since two
+# Python lists of 2^24 ints take seconds and over a gigabyte to build;
+# there, and before ensure_tables(), the chain runs on Field methods.
 TABLE_FAST_PATH_BITS = 20
 
 # Exhaustive passes over every element run only on fields of at most this
@@ -329,15 +328,7 @@ class Field:
         return a ^ b
 
     def mul(self, a: int, b: int) -> int:
-        """Product of two elements."""
-        if self._tables is not None:
-            if a == 0 or b == 0:
-                return 0
-            exp, log = self._tables
-            return exp[(log[a] + log[b]) % self.group_order]
-        return self._mul_schoolbook(a, b)
-
-    def _mul_schoolbook(self, a: int, b: int) -> int:
+        """Product of two elements: schoolbook shift-and-reduce."""
         m, mod, r = self.degree, self.modulus, 0
         while b:
             if b & 1:
@@ -348,16 +339,18 @@ class Field:
                 a ^= mod
         return r
 
+    # The same function under a second name: pow, square and the table
+    # builders call it, so a wrapper installed on Field.mul (perfbench
+    # counts calls that way) sees only the products asked of mul.
+    _mul_schoolbook = mul
+
     def square(self, a: int) -> int:
         return self._mul_schoolbook(a, a)
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse; raises DivisionByZero on 0."""
+        """Multiplicative inverse by extended Euclid; raises DivisionByZero on 0."""
         if a == 0:
             raise DivisionByZero("0 has no multiplicative inverse")
-        if self._tables is not None:
-            exp, log = self._tables
-            return exp[(self.group_order - log[a]) % self.group_order]
         # extended Euclid in GF(2)[X]
         u, v = a, self.modulus
         g1, g2 = 1, 0
@@ -643,11 +636,11 @@ class Field:
         return out
 
     def ensure_tables(self) -> None:
-        """Make mul and inv discrete-log lookups, and switch
+        """Build the discrete-log lists that switch
         solver.generic_intermediates to its exponent form (idempotent);
-        nothing else changes.
+        no Field method changes its result.
 
-        Only fields of degree <= TABLE_FAST_PATH_BITS switch: their exp
+        Only fields of degree <= TABLE_FAST_PATH_BITS get them: their exp
         list holds g^i for i < q^4 - 1, from _power_blocks(g), and the log
         list comes from it by one scatter (log[0] is a dead slot).  Above
         that degree the call does nothing.  The tables stay Python lists

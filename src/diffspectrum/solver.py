@@ -31,12 +31,12 @@ with brute force by construction.
 
 The chain has two forms with one result.  On a field with log tables
 (``Field.ensure_tables``, which only the whole-field passes of
-``spectrum`` call, and which otherwise changes only ``Field.mul`` and
-``Field.inv``) it runs on the discrete logs of its scalars, where every
-step but a sum is index arithmetic modulo q^4 - 1.  Every other field runs
-it on ``Field`` methods, which need no table of q^4 entries: every
-single-b query, every CLI call and every n >= 6.  Both forms return equal
-records, take the same exits and raise the same errors.
+``spectrum`` call, and which changes no ``Field`` result) it runs on the
+discrete logs of its scalars, where every step but a sum is index
+arithmetic modulo q^4 - 1.  Every other field runs it on ``Field``
+methods, which need no table of q^4 entries: every single-b query, every
+CLI call and every n >= 6.  Both forms return equal records, take the
+same exits and raise the same errors.
 """
 
 from __future__ import annotations
@@ -186,7 +186,7 @@ class SolutionSet:
         return iter(self._elements)
 
     def __contains__(self, x: object) -> bool:
-        if not isinstance(x, int):
+        if type(x) is not int:  # bool and float are not elements
             return False
         if self.variant == VARIANT_SUBFIELD_Q2:
             return 0 <= x < (1 << self.field.degree) and self.field.in_subfield(
@@ -242,6 +242,14 @@ def iter_mu_witnesses(field: Field, b: Element) -> Iterator[MuCaseWitness]:
     when the trace obstruction vanishes the two roots t of
     u^2 + T*u + 1 lie in the unit subgroup mu_{q^2+1} and each yields
     the solution x = 1/(1 + z*t).
+
+    That root needs no inverse of its own.  As t + 1/t = T,
+
+        (1 + z t)(1 + z/t) = 1 + z T + z^2 = z c w,
+
+    and 1/t = t + T, so 1/(1 + z t) = (1/z + 1/t)/(c w) = 1 + (t + z)/(c w).
+    c*w is nonzero because b and w are, and it takes only q - 1 values
+    per b, so its q - 1 inverses serve every root.
     """
     _require_element(field, b)
     n = field.n
@@ -250,25 +258,24 @@ def iter_mu_witnesses(field: Field, b: Element) -> Iterator[MuCaseWitness]:
             f"{field.encode_hex(b)} is not in the mu_(q+1) subgroup minus 1"
         )
     c = field.sqrt(b)
+    scaled = []  # (w, c*w, 1/(c*w)) for every w in GF(q)*
+    for w in field.iter_subfield(n):
+        if w:
+            cw = field.mul(c, w)
+            scaled.append((w, cw, field.inv(cw)))
     for z in field.iter_subfield(n):
         if z == 0:
             continue
-        z_inv = field.inv(z)
-        for w in field.iter_subfield(n):
-            if w == 0:
-                continue
-            T = z ^ z_inv ^ field.mul(c, w)
+        z_z_inv = z ^ field.inv(z)
+        for w, cw, cw_inv in scaled:
+            T = z_z_inv ^ cw
             if T == 0:
                 raise InternalDegenerate(
                     "T = z + 1/z + c*w vanished; it must lie outside GF(q)"
                 )
             for t in solve_t_from_T(field, T):
-                zt = field.mul(z, t)
-                if zt == 1:
-                    raise InternalDegenerate(
-                        "1 + z*t vanished for a unit-subgroup t"
-                    )
-                yield MuCaseWitness(z=z, w=w, T=T, t=t, x=field.inv(1 ^ zt))
+                # positional: the keyword form costs twice as much to build
+                yield MuCaseWitness(z, w, T, t, 1 ^ field.mul(t ^ z, cw_inv))
 
 
 def solve_mu_case(field: Field, b: Element) -> SolutionSet:

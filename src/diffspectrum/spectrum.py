@@ -15,11 +15,11 @@ sorts them and counts runs of equal values, so it builds no per-b array.
 The enumeration, the formula path of ``ddt_row`` and the verifier share
 one per-b pass, which runs the generic chain once per b after
 ``Field.ensure_tables`` on the caller's field.  On fields of up to 20 bits
-(n <= 5) that makes ``mul`` and ``inv`` log lookups and switches the chain
-to the exponent form of ``solver.generic_intermediates``, and does nothing
-else; at n = 6 the field gets no tables and the chain stays on ``Field``
-methods.  The formula path runs the pass once per field: the a = 1 row it
-relabels is kept on the field.
+(n <= 5) that switches the chain to the exponent form of
+``solver.generic_intermediates`` and changes no ``Field`` result; at n = 6
+the field gets no tables and the chain stays on ``Field`` methods.  The
+formula path runs the pass once per field: the a = 1 row it relabels is
+kept on the field.
 The verifier builds no per-b solution set for the two-solution family: it
 takes the pair {x, x+1} from the chain's record, and re-verifies every
 listed root in chunked numpy passes over the field's x^d table.
@@ -299,8 +299,8 @@ def _classified(
     field: Field,
 ) -> Iterator[Tuple[Element, Classification, Optional[GenericIntermediates]]]:
     """(b, classification, chain) for every b in ascending order: the one
-    per-b pass, one chain per b after ``field.ensure_tables()`` (log-table
-    mul and inv, the chain in its exponent form).
+    per-b pass, one chain per b after ``field.ensure_tables()`` (the chain
+    in its exponent form).
 
     Membership in GF(q^2) is read from a set of its q^2 elements, so a b
     outside it is checked once, by ``solver.generic_intermediates``, which

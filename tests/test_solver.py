@@ -228,23 +228,31 @@ class TestMuCase:
                 continue
             assert set(solve_mu_case(field, b)) == oracle.get(b, set())
 
-    def test_witness_invariants(self, f2):
-        q = f2.q
-        b = next(
-            b for b in range(2, 1 << f2.degree) if f2.pow(b, q + 1) == 1
-        )
-        c = f2.sqrt(b)
-        witnesses = list(iter_mu_witnesses(f2, b))
-        assert len(witnesses) == q**2 - q
-        for w in witnesses:
-            assert f2.in_subfield(w.z, f2.n) and w.z != 0
-            assert f2.in_subfield(w.w, f2.n) and w.w != 0
-            assert w.T == w.z ^ f2.inv(w.z) ^ f2.mul(c, w.w)
-            assert f2.trace_rel(f2.inv(w.T), 1, 2 * f2.n) == 1
-            assert w.t ^ f2.inv(w.t) == w.T
-            assert f2.pow(w.t, q * q + 1) == 1
-            assert w.x == f2.inv(1 ^ f2.mul(w.z, w.t))
-            assert verify_solution(f2, w.x, b)
+    @pytest.mark.parametrize(
+        "n, modulus", [(1, None), (2, None), (3, None), (4, None), (2, 0x11D)],
+        ids=["n1", "n2", "n3", "n4", "n2-0x11d"],
+    )
+    def test_witness_invariants(self, n, modulus):
+        # every mu b: the roots built as 1 + (t + z)/(c w) are the
+        # paper's 1/(1 + z t)
+        field = Field(n, modulus)
+        q = field.q
+        # mu_(q+1) is the image of GF(q^2)* under y -> y^(q-1)
+        mu = {field.pow(y, q - 1) for y in field.iter_subfield(2 * n) if y}
+        assert len(mu) == q + 1
+        for b in sorted(mu - {1}):
+            c = field.sqrt(b)
+            witnesses = list(iter_mu_witnesses(field, b))
+            assert len(witnesses) == q**2 - q
+            for w in witnesses:
+                assert field.in_subfield(w.z, n) and w.z != 0
+                assert field.in_subfield(w.w, n) and w.w != 0
+                assert w.T == w.z ^ field.inv(w.z) ^ field.mul(c, w.w)
+                assert field.trace_rel(field.inv(w.T), 1, 2 * n) == 1
+                assert w.t ^ field.inv(w.t) == w.T
+                assert field.pow(w.t, q * q + 1) == 1
+                assert w.x == field.inv(1 ^ field.mul(w.z, w.t))
+                assert verify_solution(field, w.x, b)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_no_solution_lies_in_gf_q2(self, fields, n):
@@ -765,6 +773,16 @@ class TestSolutionSet:
         assert f2.primitive_element() not in solutions
         assert "four" not in solutions  # non-int is simply absent
         assert "GF" in repr(solutions)
+
+    @pytest.mark.parametrize("variant", ["subfield_q2", "explicit"])
+    def test_membership_takes_ints_only(self, f2, variant):
+        # the rule of every solver entry point: bool and float are not
+        # elements, even where they compare equal to one
+        solutions = (SolutionSet.subfield_q2(f2) if variant == "subfield_q2"
+                     else SolutionSet.explicit(f2, [1, 6]))
+        assert 1 in solutions
+        assert True not in solutions
+        assert 1.0 not in solutions
 
     def test_empty_container_protocol(self, f1):
         solutions = SolutionSet.empty(f1)
