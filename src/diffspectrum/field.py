@@ -23,9 +23,10 @@ frobenius2; every other linear map, the relative traces among them, keeps
 its tables by key in apply_linear.  pow(a, e) multiplies the images
 a^(2^i) over the set bits i of e, mul and square are a schoolbook
 shift-and-reduce, inv is extended Euclid and div is mul(a, inv(b)), one
-path each on every field.  ensure_tables() builds discrete-log lists from
-_power_blocks of g on a field of degree <= TABLE_FAST_PATH_BITS; only
-solver's generic chain reads them, and no Field method changes its result.
+path each on every field.  ensure_tables() builds the exp and log tables
+of g, two array('I') of 4 bytes an entry, on every field within
+BRUTEFORCE_CAP_BITS; only solver's generic chain reads them, and no Field
+method changes its result.
 
 numpy is imported only inside the functions that build arrays:
 power_table(), ensure_tables() and the byte-product helpers behind them
@@ -62,16 +63,11 @@ Element = int
 # Degree cap: keeps q^4 - 1 within 64 bits so encodings stay portable.
 MAX_N = 15
 
-# After ensure_tables(), solver's generic chain indexes the log tables up
-# to this field degree.  Beyond it ensure_tables() does nothing, since two
-# Python lists of 2^24 ints take seconds and over a gigabyte to build;
-# there, and before ensure_tables(), the chain runs on Field methods.
-TABLE_FAST_PATH_BITS = 20
-
 # Exhaustive passes over every element run only on fields of at most this
-# many bits; spectrum checks it before building any table.  Memo tables keyed
-# by element (subgroups.solve_t_from_T) use the same bound: within it a pass
-# over every b exists to fill and reuse them.
+# many bits; spectrum checks it before building any table.  Tables keyed by
+# element (the log tables of ensure_tables, subgroups.solve_t_from_T's memo)
+# use the same bound: within it a pass over every b exists to fill and
+# reuse them.
 BRUTEFORCE_CAP_BITS = 24
 
 # ensure_tables() and power_table() build their tables _EXP_CHUNK entries
@@ -300,7 +296,7 @@ class Field:
         # The a = 1 differential row of the formula path, kept by
         # spectrum.ddt_row once its per-b pass has built it.
         self._formula_row_one: np.ndarray | None = None
-        self._tables: tuple[list[int], list[int]] | None = None
+        self._tables: tuple[array, array] | None = None
         # frobenius2's byte tables of a -> a^(2^j), by j in 0..degree-1
         self._frobenius: list[tuple[array, ...] | None] = [None] * self.degree
         self._primitive: int | None = None
@@ -636,22 +632,26 @@ class Field:
         return out
 
     def ensure_tables(self) -> None:
-        """Build the discrete-log lists that switch
+        """Build the discrete-log tables that switch
         solver.generic_intermediates to its exponent form (idempotent);
         no Field method changes its result.
 
-        Only fields of degree <= TABLE_FAST_PATH_BITS get them: their exp
-        list holds g^i for i < q^4 - 1, from _power_blocks(g), and the log
-        list comes from it by one scatter (log[0] is a dead slot).  Above
-        that degree the call does nothing.  The tables stay Python lists
-        because indexing numpy scalars is slower.
+        Every field within BRUTEFORCE_CAP_BITS gets them, and above that
+        degree the call does nothing.  exp holds g^i for i < q^4 - 1, copied
+        from the blocks of _power_blocks(g); log starts zeroed and is filled
+        by one uint32 scatter through a numpy view of its own buffer
+        (log[0] is a dead slot).  Both are array('I'): an item indexes to a
+        Python int, as a list's does, at 4 bytes an entry instead of a
+        list's ~36, so the two take 128 MB at n = 6.  The build holds about
+        12 bytes an element at its peak.
         """
-        if self._tables is not None or self.degree > TABLE_FAST_PATH_BITS:
+        if self._tables is not None or self.degree > BRUTEFORCE_CAP_BITS:
             return
         import numpy as np
 
-        exp = np.concatenate(list(self._power_blocks(self.primitive_element())))
-        exp = exp[:self.group_order]
-        log = np.zeros(self.size, dtype=np.int64)
-        log[exp] = np.arange(self.group_order)
-        self._tables = (exp.tolist(), log.tolist())
+        exp, log = array("I"), array("I", [0]) * self.size
+        # the blocks run to g^(q^4 - 1) = 1 = g^0, which exp leaves out
+        powers = np.concatenate(list(self._power_blocks(self.primitive_element())))[:-1]
+        np.frombuffer(log, dtype=np.uint32)[powers] = np.arange(self.group_order, dtype=np.uint32)
+        exp.frombytes(powers.view(np.uint8))  # frombytes reads byte buffers only
+        self._tables = exp, log

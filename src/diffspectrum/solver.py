@@ -33,14 +33,16 @@ The chain has two forms with one result.  On a field with log tables
 (``Field.ensure_tables``, which only the whole-field passes of
 ``spectrum`` call, and which changes no ``Field`` result) it runs on the
 discrete logs of its scalars, where every step but a sum is index
-arithmetic modulo q^4 - 1.  Every other field runs it on ``Field``
-methods, which need no table of q^4 entries: every single-b query, every
-CLI call and every n >= 6.  Both forms return equal records, take the
-same exits and raise the same errors.
+arithmetic modulo q^4 - 1.  Every whole-field pass, at every n up to the
+sweep cap n = 6, runs this form.  Every other field runs it on ``Field``
+methods, which need no table of q^4 entries: every single-b query and
+every CLI call but ``verify``, at any n, and every n >= 7.  Both forms
+return equal records, take the same exits and raise the same errors.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, NamedTuple, Optional, Tuple
 
 from .errors import InternalDegenerate, PreconditionViolated
@@ -91,14 +93,30 @@ FAIL_LAMBDA = "lambda_ratio_degenerate"
 FAIL_Z_ZERO = "z_vanishes"
 
 
-def _require_element(field: Field, value: Element, name: str = "b") -> None:
-    # one identity test per b: it rejects bool, float, str and None alike
-    if type(value) is not int:
-        raise PreconditionViolated(f"{name} must be an int, got {value!r}")
+def _as_integer(value: object) -> Optional[int]:
+    """value as a Python int when it is an integer other than a bool (an int,
+    or any type with __index__, numpy's among them), else None."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        return None
+    return operator.index(value)
+
+
+def _require_element(field: Field, value: Element, name: str = "b") -> int:
+    """value as a Python int, if it is an integer that encodes an element.
+
+    A float, str, None or bool raises PreconditionViolated, even where it
+    compares equal to an element.
+    """
+    if type(value) is not int:  # one identity test per b on the int path
+        element = _as_integer(value)
+        if element is None:
+            raise PreconditionViolated(f"{name} must be an integer, got {value!r}")
+        value = element
     if not 0 <= value < field.size:
         raise PreconditionViolated(
             f"{name} = {value:#x} is outside the field of degree {field.degree}"
         )
+    return value
 
 
 def _inside_gf_q2(field: Field, b: Element) -> str:
@@ -110,14 +128,14 @@ def _inside_gf_q2(field: Field, b: Element) -> str:
 
 def eval_derivative(field: Field, x: Element) -> Element:
     """x^d + (x+1)^d, the quantity whose level sets the histogram counts."""
-    _require_element(field, x, "x")
+    x = _require_element(field, x, "x")
     d = field.d
     return field.pow(x, d) ^ field.pow(x ^ 1, d)
 
 
 def verify_solution(field: Field, x: Element, b: Element) -> bool:
     """Plug x into x^d + (x+1)^d and compare with b."""
-    _require_element(field, b)
+    b = _require_element(field, b)
     return eval_derivative(field, x) == b
 
 
@@ -186,7 +204,8 @@ class SolutionSet:
         return iter(self._elements)
 
     def __contains__(self, x: object) -> bool:
-        if type(x) is not int:  # bool and float are not elements
+        x = _as_integer(x)  # bool and float are not elements
+        if x is None:
             return False
         if self.variant == VARIANT_SUBFIELD_Q2:
             return 0 <= x < (1 << self.field.degree) and self.field.in_subfield(
@@ -251,7 +270,7 @@ def iter_mu_witnesses(field: Field, b: Element) -> Iterator[MuCaseWitness]:
     c*w is nonzero because b and w are, and it takes only q - 1 values
     per b, so its q - 1 inverses serve every root.
     """
-    _require_element(field, b)
+    b = _require_element(field, b)
     n = field.n
     if b == 1 or field.pow(b, field.q + 1) != 1:
         raise PreconditionViolated(
@@ -420,7 +439,7 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     keeps the ``Field``-method form below, which needs no tables.  Both
     return equal records.
     """
-    _require_element(field, b)
+    b = _require_element(field, b)
     if field._tables is not None:
         return _generic_on_logs(field, b)
     q = field.q
@@ -611,7 +630,7 @@ def _classify_with_chain(
     ``_solution_set``, so the chain runs once per b.
     """
     q = field.q
-    _require_element(field, b)
+    b = _require_element(field, b)
     if b == 1:
         return Classification(CASE_B_EQUALS_ONE, q**2), None
     if field.in_subfield(b, 2 * field.n):  # mu_{q+1} lies inside GF(q^2)

@@ -14,12 +14,11 @@ sorts them and counts runs of equal values, so it builds no per-b array.
 
 The enumeration, the formula path of ``ddt_row`` and the verifier share
 one per-b pass, which runs the generic chain once per b after
-``Field.ensure_tables`` on the caller's field.  On fields of up to 20 bits
-(n <= 5) that switches the chain to the exponent form of
-``solver.generic_intermediates`` and changes no ``Field`` result; at n = 6
-the field gets no tables and the chain stays on ``Field`` methods.  The
-formula path runs the pass once per field: the a = 1 row it relabels is
-kept on the field.
+``Field.ensure_tables`` on the caller's field.  On every field within the
+cap that switches the chain to the exponent form of
+``solver.generic_intermediates`` and changes no ``Field`` result; the
+tables take 8 bytes an element (128 MB at n = 6).  The formula path runs
+the pass once per field: the a = 1 row it relabels is kept on the field.
 The verifier builds no per-b solution set for the two-solution family: it
 takes the pair {x, x+1} from the chain's record, and re-verifies every
 listed root in chunked numpy passes over the field's x^d table.
@@ -38,7 +37,6 @@ cap.
 from __future__ import annotations
 
 import json
-import operator
 import time
 from array import array
 from dataclasses import dataclass, field as dataclass_field
@@ -60,6 +58,7 @@ from .solver import (
     GenericIntermediates,
     _GENERIC_TWO,
     _NO_SOLUTION,
+    _as_integer,
     _classify_with_chain,
     _solution_set,
     eval_derivative,
@@ -299,8 +298,9 @@ def _classified(
     field: Field,
 ) -> Iterator[Tuple[Element, Classification, Optional[GenericIntermediates]]]:
     """(b, classification, chain) for every b in ascending order: the one
-    per-b pass, one chain per b after ``field.ensure_tables()`` (the chain
-    in its exponent form).
+    per-b pass, one chain per b after ``field.ensure_tables()``, which
+    puts the chain in its exponent form on every field the callers' cap
+    admits.
 
     Membership in GF(q^2) is read from a set of its q^2 elements, so a b
     outside it is checked once, by ``solver.generic_intermediates``, which
@@ -346,12 +346,10 @@ def ddt_row(field: Field, a: Element, method: str = METHOD_FORMULA) -> np.ndarra
     """
     import numpy as np
 
-    if isinstance(a, bool):
+    direction = _as_integer(a)
+    if direction is None:
         raise OutOfRange(f"direction must be an integer, got {a!r}")
-    try:
-        a = operator.index(a)
-    except TypeError:
-        raise OutOfRange(f"direction must be an integer, got {a!r}") from None
+    a = direction
     if a == 0:
         raise ZeroElement("differential rows are defined for nonzero a only")
     if not 0 < a < (1 << field.degree):

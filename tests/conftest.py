@@ -37,6 +37,14 @@ def f4() -> Field:
 
 
 @pytest.fixture(scope="session")
+def f6() -> Field:
+    # the sweep cap: 128 MB of tables, built once (~1 s) for every test
+    field = Field(6)
+    field.ensure_tables()
+    return field
+
+
+@pytest.fixture(scope="session")
 def fields(f1, f2, f3) -> dict[int, Field]:
     return {1: f1, 2: f2, 3: f3}
 

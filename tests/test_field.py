@@ -1,6 +1,8 @@
 """Field arithmetic: moduli, axioms, Frobenius/trace/norm, codec, subfields."""
 
 import random
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from diffspectrum.errors import (
     ReducibleModulus,
 )
 from diffspectrum.field import (
-    TABLE_FAST_PATH_BITS,
+    BRUTEFORCE_CAP_BITS,
     Field,
     default_modulus,
     is_irreducible,
@@ -241,22 +243,15 @@ class TestRingAxioms:
 
 
 class TestExpTable:
-    # The exp list of ensure_tables() holds g^i for the primitive element g;
-    # above TABLE_FAST_PATH_BITS, where no list is built, the blocks of
-    # powers behind power_table() are checked instead.
+    # The exp table of ensure_tables() holds g^i for the primitive element
+    # g, and log inverts it, on every field within the sweep cap.
     @pytest.mark.parametrize("n,samples", [(1, None), (2, None), (3, None), (5, 64), (6, 64)])
-    def test_entries_are_powers_of_the_primitive_element(self, n, samples):
-        field = Field(n)
+    def test_entries_are_powers_of_the_primitive_element(self, request, n, samples):
+        field = request.getfixturevalue("f6") if n == 6 else Field(n)
         field.ensure_tables()
         g = field.primitive_element()
-        if field.degree <= TABLE_FAST_PATH_BITS:
-            exp, log = field._tables
-            assert len(exp) == field.group_order and len(log) == field.size
-        else:
-            assert field._tables is None
-            exp = np.concatenate(list(field._power_blocks(g)))
-            assert exp.dtype == np.uint32 and exp.shape == (field.size,)
-            log = None
+        exp, log = field._tables
+        assert len(exp) == field.group_order and len(log) == field.size
         if samples is None:
             indices = range(field.group_order)
         else:
@@ -264,12 +259,28 @@ class TestExpTable:
             indices = [0, 1, field.group_order - 1,
                        *(rng.randrange(field.group_order) for _ in range(samples))]
         for i in indices:
-            assert int(exp[i]) == oracle_naive.field_pow(field.modulus, g, i), i
-            assert log is None or log[exp[i]] == i, i
+            assert exp[i] == oracle_naive.field_pow(field.modulus, g, i), i
+            assert log[exp[i]] == i, i
 
-    def test_ensure_tables_above_fast_path_degree_builds_nothing(self):
-        field = Field(6)
-        assert field.degree > TABLE_FAST_PATH_BITS
+    def test_tables_are_compact(self):
+        # Two array('I') keep 8 bytes an element, where the Python lists
+        # they replaced kept ~76; the build peaks at ~12 (the log buffer, exp
+        # and one uint32 temporary at a time), where the lists peaked at ~88.
+        field = Field(5)
+        tracemalloc.start()
+        try:
+            field.ensure_tables()
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        for table in field._tables:
+            assert isinstance(table, array) and table.itemsize == 4
+        assert kept <= 9 * field.size
+        assert peak <= 16 * field.size
+
+    def test_ensure_tables_above_sweep_cap_builds_nothing(self):
+        field = Field(7)
+        assert field.degree > BRUTEFORCE_CAP_BITS
         field.ensure_tables()
         assert field._tables is None and field._power is None
 

@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from functools import partial
 
+import numpy as np
 import pytest
 
 import oracle_naive
@@ -40,6 +41,7 @@ from diffspectrum.solver import (
     solve_mu_case,
     verify_solution,
 )
+from diffspectrum.spectrum import bruteforce_counts
 from diffspectrum.subgroups import solve_t_from_T
 
 # Complete solution map for n=1 (modulus 0x13), frozen from the naive
@@ -109,10 +111,37 @@ RANGE_CHECKED_ENTRIES = {
 def test_out_of_range_element_rejected(entry, n):
     field = Field(n)
     call = RANGE_CHECKED_ENTRIES[entry]
-    # past either end of the field, or no int at all, whatever its value
-    for value in (field.size, field.size | 0x2, -1, True, 1.0, 2.0, "0x2", None):
+    # past either end of the field, or no integer at all, whatever its value
+    for value in (field.size, field.size | 0x2, -1, True, 1.0, 2.0, "0x2", None,
+                  np.True_, np.float64(2.0), np.int64(-1), np.uint32(field.size)):
         with pytest.raises(PreconditionViolated):
             call(field, value)
+
+
+@pytest.mark.parametrize("integer", [np.int64, np.uint32], ids=["int64", "uint32"])
+def test_numpy_integer_elements_act_as_their_int(f2, integer):
+    # b read from the library's own arrays, as the sweeps return them
+    counts = bruteforce_counts(f2)
+    two = int(np.flatnonzero(counts == 2)[0])
+    mu = next(b for b in range(2, f2.size) if f2.pow(b, f2.q + 1) == 1)
+    none = next(b for b in np.flatnonzero(counts == 0).tolist()
+                if not f2.in_subfield(b, 2 * f2.n))
+    for b in (0, 1, mu, two, none):
+        assert classify(f2, integer(b)) == classify(f2, b)
+        classification, solutions = solve(f2, integer(b))
+        assert classification == classify(f2, b)
+        assert list(solutions) == list(solve(f2, b)[1])
+        for x in list(solutions)[:4]:
+            assert integer(x) in solutions
+            assert verify_solution(f2, integer(x), integer(b))
+        assert (integer(f2.size - 1) in solutions) == (f2.size - 1 in solutions)
+    for x in range(0, f2.size, 17):
+        assert eval_derivative(f2, integer(x)) == eval_derivative(f2, x)
+    for b in (two, none):
+        chain = generic_intermediates(f2, integer(b))
+        assert chain == generic_intermediates(f2, b) and type(chain.b) is int
+    witnesses = list(iter_mu_witnesses(f2, integer(mu)))
+    assert witnesses == list(iter_mu_witnesses(f2, mu))
 
 
 class TestClassify:
@@ -605,9 +634,10 @@ def chain_or_raise(field, b):
         return type(exc).__name__, str(exc)
 
 
-# Seeded b outside GF(q^2) compared between the two chains at n = 5, the
-# other degree whose fields get log tables; ~0.3 s with the tables.
-N5_EXPONENT_CHAIN_SAMPLES = 300
+# Seeded b outside GF(q^2) compared between the two chains at n = 5 and at
+# the sweep cap n = 6, degrees that the exhaustive checks above do not
+# reach; ~0.3 s per degree with the tables.
+EXPONENT_CHAIN_SAMPLES = 300
 
 
 class TestExponentChain:
@@ -619,13 +649,15 @@ class TestExponentChain:
         zeros = zero_operand_counts(f2, outside_gf_q2(f2))
         assert zeros == {"B": 8, "A + B1": 16, "alpha + delta": 0, "alpha^(q+1) + 1": 48}
 
-    def test_n5_tables_match_schoolbook_sampled(self):
-        tables, plain = Field(5), Field(5)
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_tables_match_schoolbook_sampled(self, request, n):
+        tables = request.getfixturevalue("f6") if n == 6 else Field(n)
+        plain = Field(n)
         tables.ensure_tables()
         assert tables._tables is not None and plain._tables is None
-        rng = random.Random("exponent-chain:5")
+        rng = random.Random(f"exponent-chain:{n}")
         bs = []
-        while len(bs) < N5_EXPONENT_CHAIN_SAMPLES:
+        while len(bs) < EXPONENT_CHAIN_SAMPLES:
             b = rng.randrange(plain.size)
             if not plain.in_subfield(b, 2 * plain.n):
                 bs.append(b)
