@@ -153,7 +153,7 @@ def _cmd_solve(args: argparse.Namespace) -> Tuple[str, int]:
     summarise_subfield = (
         classification.case == CASE_B_EQUALS_ONE and not args.enumerate_subfield
     )
-    listed: List[int] = [] if summarise_subfield else sorted(solutions)
+    listed: List[int] = [] if summarise_subfield else list(solutions)  # ascending
     for x in listed:
         if not verify_solution(field, x, b):
             raise InternalDegenerate(

@@ -48,6 +48,7 @@ from typing import TYPE_CHECKING, Callable, Hashable, Iterable, Iterator
 from .errors import (
     DegreeMismatch,
     DivisionByZero,
+    FieldTooLarge,
     InternalDegenerate,
     MalformedHex,
     NotInSubfield,
@@ -591,11 +592,17 @@ class Field:
         With h = g^d, the element g^i maps to g^(i d) = h^i, so each block
         of _power_blocks(h) is scattered onto the matching block of
         _power_blocks(g).  Both run to the power q^4 - 1, which is 1 and
-        only rewrites P[1] = 1; P[0] = 0.
+        only rewrites P[1] = 1; P[0] = 0.  A field past BRUTEFORCE_CAP_BITS
+        raises FieldTooLarge before it allocates anything.
         """
         import numpy as np
 
         if self._power is None:
+            if self.degree > BRUTEFORCE_CAP_BITS:
+                raise FieldTooLarge(
+                    f"x -> x^d table over GF(2^{self.degree}) exceeds the "
+                    f"{BRUTEFORCE_CAP_BITS}-bit cap"
+                )
             g = self.primitive_element()
             table = np.zeros(self.size, dtype=np.uint32)
             for x, y in zip(self._power_blocks(g), self._power_blocks(self.pow(g, self.d))):

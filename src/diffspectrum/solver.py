@@ -74,9 +74,6 @@ CASE_MU = "MU_CASE"
 CASE_GENERIC_TWO = "GENERIC_TWO"
 CASE_NO_SOLUTION = "NO_SOLUTION"
 
-VARIANT_SUBFIELD_Q2 = "subfield_q2"
-VARIANT_EXPLICIT = "explicit"
-
 # Failure tags reported by the generic chain.  Each names the first
 # quantity that degenerated; all of them certify "no solutions for b".
 FAIL_DELTA_ONE = "delta_is_one"
@@ -150,73 +147,62 @@ class Classification(NamedTuple):
 
 
 class SolutionSet:
-    """Immutable container for the roots of x^d + (x+1)^d = b.
+    """The roots of x^d + (x+1)^d = b, described by the case of b.
 
-    Two shapes exist: the full subfield GF(q^2) (b = 1), and an explicit
-    sorted tuple of elements (mu case and generic case; empty when b has
-    no roots).  The subfield shape stores no elements; iteration walks the
-    subfield lazily and membership tests use the Frobenius fixed-point
-    check, so ``len`` stays O(1) even when q^2 is large.
+    One shape for every case: the field, b, its Classification and, for
+    ``CASE_GENERIC_TWO``, the completed chain's root x.  No root is
+    stored.  ``len`` is the count the case guarantees, and ``x in S`` is
+    the equation itself: an integer x (not a bool) in the field with
+    x^d + (x+1)^d = b.  Iteration lists the roots in ascending order:
+    GF(q^2) for b = 1, the pair {x, x+1} of a completed chain, nothing
+    without a solution, and ``solve_mu_case`` for the mu case, which
+    checks the count and distinctness of the q^2 - q roots on every
+    listing.  So building the set costs no more than ``classify`` at any
+    n, while listing a mu-case set takes time exponential in n.
     """
 
-    __slots__ = ("field", "variant", "_elements")
+    __slots__ = ("field", "b", "classification", "x")
 
     def __init__(
         self,
         field: Field,
-        variant: str,
-        elements: Optional[Tuple[Element, ...]],
+        b: Element,
+        classification: Classification,
+        x: Optional[Element] = None,
     ) -> None:
         self.field = field
-        self.variant = variant
-        self._elements = elements
-
-    # -- constructors ------------------------------------------------
-
-    @classmethod
-    def subfield_q2(cls, field: Field) -> "SolutionSet":
-        """All of GF(q^2), the solution set for b = 1."""
-        return cls(field, VARIANT_SUBFIELD_Q2, None)
-
-    @classmethod
-    def explicit(cls, field: Field, xs) -> "SolutionSet":
-        """A finite list of verified roots, stored sorted."""
-        xs = tuple(sorted(xs))
-        if len(set(xs)) != len(xs):
-            raise InternalDegenerate("duplicate roots in an explicit solution set")
-        return cls(field, VARIANT_EXPLICIT, xs)
-
-    @classmethod
-    def empty(cls, field: Field) -> "SolutionSet":
-        """The explicit set with no roots."""
-        return cls(field, VARIANT_EXPLICIT, ())
-
-    # -- container protocol -------------------------------------------
+        self.b = b
+        self.classification = classification
+        self.x = x
 
     def __len__(self) -> int:
-        if self.variant == VARIANT_SUBFIELD_Q2:
-            return self.field.q**2
-        return len(self._elements)
+        return self.classification.predicted_count
 
     def __iter__(self) -> Iterator[Element]:
-        if self.variant == VARIANT_SUBFIELD_Q2:
+        case = self.classification.case
+        if case == CASE_B_EQUALS_ONE:
             return self.field.iter_subfield(2 * self.field.n)
-        return iter(self._elements)
+        if case == CASE_MU:
+            return iter(solve_mu_case(self.field, self.b))
+        if case == CASE_GENERIC_TWO:
+            low = self.x & ~1
+            return iter((low, low | 1))
+        return iter(())
 
     def __contains__(self, x: object) -> bool:
         x = _as_integer(x)  # bool and float are not elements
-        if x is None:
+        if x is None or not 0 <= x < self.field.size:
             return False
-        if self.variant == VARIANT_SUBFIELD_Q2:
-            return 0 <= x < (1 << self.field.degree) and self.field.in_subfield(
-                x, 2 * self.field.n
-            )
-        return x in self._elements
+        return eval_derivative(self.field, x) == self.b
 
     def __repr__(self) -> str:
-        if self.variant == VARIANT_SUBFIELD_Q2:
+        case = self.classification.case
+        if case == CASE_B_EQUALS_ONE:
             return f"SolutionSet(all of GF(2^{2 * self.field.n}), size {len(self)})"
-        shown = ", ".join(self.field.encode_hex(x) for x in self._elements)
+        if case == CASE_MU:
+            b = self.field.encode_hex(self.b)
+            return f"SolutionSet({case} for b = {b}, size {len(self)})"
+        shown = ", ".join(self.field.encode_hex(x) for x in self)
         return f"SolutionSet([{shown}])"
 
 
@@ -231,7 +217,7 @@ def solve_b_equals_1(field: Field) -> SolutionSet:
     On GF(q^2) the exponent d reduces to 2q modulo q^2 - 1, so
     x^d + (x+1)^d = (x + (x+1))^(2q) = 1 for all subfield x.
     """
-    return SolutionSet.subfield_q2(field)
+    return SolutionSet(field, 1, Classification(CASE_B_EQUALS_ONE, field.q**2))
 
 
 # ---------------------------------------------------------------------
@@ -297,21 +283,23 @@ def iter_mu_witnesses(field: Field, b: Element) -> Iterator[MuCaseWitness]:
                 yield MuCaseWitness(z, w, T, t, 1 ^ field.mul(t ^ z, cw_inv))
 
 
-def solve_mu_case(field: Field, b: Element) -> SolutionSet:
-    """All q^2 - q roots for b in mu_{q+1} \\ {1}, deduplicated and sorted.
+def solve_mu_case(field: Field, b: Element) -> Tuple[Element, ...]:
+    """All q^2 - q roots for b in mu_{q+1} \\ {1}, as a sorted tuple.
 
-    Distinct witnesses can reproduce the same root; the defining count
-    q^2 - q applies to the deduplicated set and is asserted here.
+    This is the eager listing behind iteration of a mu-case
+    ``SolutionSet``.  It raises InternalDegenerate unless the witness
+    sweep yields exactly q^2 - q roots and no two of them are equal.
     """
-    roots = [witness.x for witness in iter_mu_witnesses(field, b)]
+    roots = sorted(witness.x for witness in iter_mu_witnesses(field, b))
     expected = field.q**2 - field.q
     if len(roots) != expected:
         raise InternalDegenerate(
             f"mu-case witness sweep produced {len(roots)} roots, "
             f"expected {expected}"
         )
-    # distinct witnesses yield distinct roots; explicit() raises on duplicates
-    return SolutionSet.explicit(field, roots)
+    if any(x == y for x, y in zip(roots, roots[1:])):
+        raise InternalDegenerate("mu-case witness sweep repeated a root")
+    return tuple(roots)
 
 
 # ---------------------------------------------------------------------
@@ -451,13 +439,9 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     beta = c ^ c_q2  # nonzero precisely because b is outside GF(q^2)
     delta = field.pow(field.div(beta, alpha), q - 1)
     if delta == 1:
-        return GenericIntermediates(
-            b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_DELTA_ONE
-        )
+        return GenericIntermediates(b, c, alpha, beta, delta, failure=FAIL_DELTA_ONE)
     if alpha == 1:
-        return GenericIntermediates(
-            b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_ALPHA_ONE
-        )
+        return GenericIntermediates(b, c, alpha, beta, delta, failure=FAIL_ALPHA_ONE)
 
     gamma = field.div(c, beta)
     U = (
@@ -498,11 +482,11 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
             if eval_derivative(field, x) != b:
                 failure = FAIL_UNVERIFIED
             else:
-                branch = GenericBranch(t=t, A=A, B=B, B1=B1, lam=lam, z=z, x=x)
+                branch = GenericBranch(t, A, B, B1, lam, z, x)
 
+    # positional: the keyword form costs twice as much to build
     return GenericIntermediates(
-        b=b, c=c, alpha=alpha, beta=beta, delta=delta, gamma=gamma, U=U, T=T,
-        t_pair=t_pair, branch=branch, failure=failure,
+        b, c, alpha, beta, delta, gamma, U, T, t_pair, branch, failure
     )
 
 
@@ -535,13 +519,9 @@ def _generic_on_logs(field: Field, b: Element) -> GenericIntermediates:
     ld = (l_beta - la) * (q - 1) % N
     delta = exp[ld]
     if ld == 0:
-        return GenericIntermediates(
-            b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_DELTA_ONE
-        )
+        return GenericIntermediates(b, c, alpha, beta, delta, failure=FAIL_DELTA_ONE)
     if la == 0:
-        return GenericIntermediates(
-            b=b, c=c, alpha=alpha, beta=beta, delta=delta, failure=FAIL_ALPHA_ONE
-        )
+        return GenericIntermediates(b, c, alpha, beta, delta, failure=FAIL_ALPHA_ONE)
 
     lg = (lc - l_beta) % N
     gamma = exp[lg]
@@ -626,8 +606,8 @@ def _classify_with_chain(
 ) -> Tuple[Classification, Optional[GenericIntermediates]]:
     """``classify`` plus the generic chain it ran (None for b in GF(q^2)).
 
-    Callers that go on to build the solution set pass the chain to
-    ``_solution_set``, so the chain runs once per b.
+    ``solve`` and the verifier read the generic root from the chain, so
+    the chain runs once per b.
     """
     q = field.q
     b = _require_element(field, b)
@@ -643,40 +623,14 @@ def _classify_with_chain(
     return _NO_SOLUTION, chain
 
 
-def _solution_set(
-    field: Field,
-    b: Element,
-    classification: Classification,
-    chain: Optional[GenericIntermediates],
-) -> SolutionSet:
-    """The solution set for a result of ``_classify_with_chain``.
-
-    Raises InternalDegenerate unless the set has exactly the predicted
-    cardinality.
-    """
-    case = classification.case
-    if case == CASE_B_EQUALS_ONE:
-        solutions = solve_b_equals_1(field)
-    elif case == CASE_MU:
-        solutions = solve_mu_case(field, b)
-    elif case == CASE_GENERIC_TWO:
-        solutions = SolutionSet.explicit(field, chain.solutions)
-    else:
-        solutions = SolutionSet.empty(field)
-    if len(solutions) != classification.predicted_count:
-        raise InternalDegenerate(
-            f"case {case} predicted {classification.predicted_count} roots "
-            f"but the construction produced {len(solutions)}"
-        )
-    return solutions
-
-
 def solve(field: Field, b: Element) -> Tuple[Classification, SolutionSet]:
-    """Classification and complete solution set of x^d + (x+1)^d = b.
+    """Classification and solution set of x^d + (x+1)^d = b.
 
-    The generic chain runs once: the classification and the two generic
-    roots both come from it.  Asserts that the constructed set has
-    exactly the predicted cardinality.
+    The generic chain runs once: the classification and the generic root
+    both come from it.  No root is listed here, so ``solve`` costs what
+    ``classify`` does at every n; iterating the set lists the roots.
     """
+    b = _require_element(field, b)
     classification, chain = _classify_with_chain(field, b)
-    return classification, _solution_set(field, b, classification, chain)
+    x = chain.branch.x if classification.case == CASE_GENERIC_TWO else None
+    return classification, SolutionSet(field, b, classification, x)

@@ -60,7 +60,6 @@ from .solver import (
     _NO_SOLUTION,
     _as_integer,
     _classify_with_chain,
-    _solution_set,
     eval_derivative,
 )
 
@@ -436,9 +435,10 @@ def _check_all(
     re-verify every root the solver lists.
 
     One chain run per b serves the prediction, and a completed chain's
-    root x gives the generic pair {x, x+1} directly; only b = 1 and the
-    mu case build a ``SolutionSet``, which raises unless it has the
-    predicted size.  The tally is read through a memoryview, which yields
+    root x gives the generic pair {x, x+1} directly.  b = 1 and the mu
+    case list their ``SolutionSet``; a mu-case listing raises
+    InternalDegenerate unless it holds q^2 - q distinct roots, and that
+    b gets an error row.  The tally is read through a memoryview, which yields
     Python ints.  The roots are collected with their b in fixed-width
     buffers and re-verified at the end, _EXP_CHUNK at a time, as
     P[x] + P[x+1] = b on ``Field.power_table()`` P, which the tally has
@@ -473,12 +473,12 @@ def _check_all(
             root_x.extend((low, low | 1))
         elif case != CASE_NO_SOLUTION:  # b = 1 or the mu case
             try:
-                solutions = _solution_set(field, b, classification, chain)
+                roots = list(solver.SolutionSet(field, b, classification))
             except InternalDegenerate as exc:
                 record(case, {"b": field.encode_hex(b), "error": str(exc)})
                 continue
-            root_x.extend(solutions)
-            root_b.extend([b] * len(solutions))
+            root_x.extend(roots)
+            root_b.extend([b] * len(roots))
 
     power = field.power_table()
     all_x = np.frombuffer(root_x, dtype=np.uint32)

@@ -13,6 +13,7 @@ from diffspectrum import subgroups
 from diffspectrum.errors import (
     DegreeMismatch,
     DivisionByZero,
+    FieldTooLarge,
     MalformedHex,
     NotInSubfield,
     OutOfRange,
@@ -283,6 +284,13 @@ class TestExpTable:
         assert field.degree > BRUTEFORCE_CAP_BITS
         field.ensure_tables()
         assert field._tables is None and field._power is None
+
+    def test_power_table_above_sweep_cap_raises_before_allocating(self):
+        # 2^28 entries at n = 7; n = 15 would ask for exabytes
+        field = Field(7)
+        with pytest.raises(FieldTooLarge):
+            field.power_table()
+        assert field._power is None and field._primitive is None
 
     def test_sweeps_on_one_field_build_the_table_once(self, monkeypatch):
         builds = []

@@ -4,6 +4,7 @@ import random
 import time
 from collections import Counter
 from functools import partial
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -30,7 +31,6 @@ from diffspectrum.solver import (
     GenericBranch,
     GenericIntermediates,
     MuCaseWitness,
-    SolutionSet,
     classify,
     eval_derivative,
     generic_intermediates,
@@ -304,7 +304,7 @@ class TestGenericCase:
         classification, solutions = solve(f2, 0)
         assert classification.case == CASE_NO_SOLUTION
         assert len(solutions) == 0 and list(solutions) == []
-        assert solutions.variant == "explicit"
+        assert repr(solutions) == "SolutionSet([])"
 
     @pytest.mark.parametrize("n", [1, 2, 4])
     @pytest.mark.parametrize(
@@ -739,12 +739,11 @@ class TestSolveDispatch:
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_explicit_sets_closed_under_complement(self, fields, n):
+        # every listed set, b = 1 included: D(x + 1) = D(x)
         field = fields[n]
         for b in range(1 << field.degree):
-            _, solutions = solve(field, b)
-            if solutions.variant == "explicit":
-                members = set(solutions)
-                assert {x ^ 1 for x in members} == members
+            members = set(solve(field, b)[1])
+            assert {x ^ 1 for x in members} == members
 
     @pytest.mark.parametrize("entry", [classify, solve])
     def test_chain_runs_once_per_call(self, f2, chain_runs, entry):
@@ -777,27 +776,104 @@ class TestBeyondSweepCap:
         for _ in range(BEYOND_CAP_SAMPLES):
             x = rng.randrange(field.size)
             b = field.pow(x, field.d) ^ field.pow(x ^ 1, field.d)
-            classification = classify(field, b)
+            classification, solutions = solve(field, b)
+            assert classification == classify(field, b)
             assert classification.case != CASE_NO_SOLUTION
+            assert x in solutions
             if classification.case == CASE_GENERIC_TWO:
-                assert x in solve(field, b)[1]
+                assert x in list(solutions)
+        assert time.perf_counter() - start < BEYOND_CAP_BUDGET_S
+
+    @pytest.mark.parametrize("n", [7, 8, 15])
+    def test_seeded_mu_b_lists_distinct_members(self, n):
+        # x^(q^2+1) lies in GF(q^2)*, and its (q-1)-th power in mu_(q+1).
+        # Listing all q^2 - q roots is out of reach, so the first
+        # witnesses stand for them.
+        field = Field(n)
+        q = field.q
+        rng = random.Random(f"beyond-cap-mu:{n}")
+        start = time.perf_counter()
+        b = 1
+        while b == 1:
+            b = field.pow(rng.randrange(1, field.size), (q * q + 1) * (q - 1))
+        assert classify(field, b) == Classification(CASE_MU, q**2 - q)
+        classification, solutions = solve(field, b)
+        assert classification.case == CASE_MU and len(solutions) == q**2 - q
+        roots = [w.x for w in islice(iter_mu_witnesses(field, b), 8)]
+        assert len(set(roots)) == len(roots) == 8
+        assert all(x in solutions for x in roots)
         assert time.perf_counter() - start < BEYOND_CAP_BUDGET_S
 
 
+def _mu_b(field: Field) -> int:
+    return next(b for b in range(2, field.size) if field.pow(b, field.q + 1) == 1)
+
+
+# A mu-case b at n = 15, and the budget for solve on it: the set holds
+# q^2 - q = 1,073,709,056 roots, none of which solve lists.
+MU_B_N15 = 0x7EF4157045FC9E
+MU_SOLVE_BUDGET_S = 1.0
+
+
 class TestSolutionSet:
-    def test_duplicate_roots_rejected(self, f1):
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_len_order_and_membership_agree_with_the_listing(self, fields, n):
+        field = fields[n]
+        cases = set()
+        for b in range(field.size):
+            classification, solutions = solve(field, b)
+            cases.add(classification.case)
+            listed = list(solutions)
+            assert listed == sorted(set(listed))
+            assert len(solutions) == len(listed) == classification.predicted_count
+            members = set(listed)
+            for x in range(field.size):
+                assert (x in solutions) == (x in members)
+        assert cases == {CASE_B_EQUALS_ONE, CASE_MU, CASE_GENERIC_TWO, CASE_NO_SOLUTION}
+
+    @staticmethod
+    def _listing_raises(field, monkeypatch, edit):
+        # the witness sweep, edited, behind a mu-case set built beforehand
+        witnesses = solver_module.iter_mu_witnesses
+        monkeypatch.setattr(
+            solver_module, "iter_mu_witnesses",
+            lambda field, b: edit(list(witnesses(field, b))),
+        )
+        classification, solutions = solve(field, _mu_b(field))  # lists nothing
+        assert len(solutions) == classification.predicted_count == field.q**2 - field.q
         with pytest.raises(InternalDegenerate):
-            SolutionSet.explicit(f1, [3, 3])
+            list(solutions)
+
+    def test_duplicate_roots_rejected(self, f2, monkeypatch):
+        # the first witness in place of the last: the right count, one root twice
+        self._listing_raises(f2, monkeypatch, lambda ws: ws[:-1] + ws[:1])
+
+    def test_missing_root_rejected(self, f2, monkeypatch):
+        self._listing_raises(f2, monkeypatch, lambda ws: ws[1:])
+
+    def test_mu_solve_lists_nothing_at_n15(self):
+        field = Field(15)
+        start = time.perf_counter()
+        classification, solutions = solve(field, MU_B_N15)
+        assert time.perf_counter() - start < MU_SOLVE_BUDGET_S
+        assert classification.case == CASE_MU
+        assert len(solutions) == field.q**2 - field.q == 1_073_709_056
+        assert "size 1073709056" in repr(solutions)
+        root = next(iter_mu_witnesses(field, MU_B_N15)).x
+        assert root in solutions
+        assert root ^ 2 not in solutions and 0 not in solutions
 
     def test_explicit_container_protocol(self, f1):
-        solutions = SolutionSet.explicit(f1, [5, 4])
+        # the two-solution pair {x, x+1}, listed from the chain's root
+        classification, solutions = solve(f1, 0xB)
+        assert classification.case == CASE_GENERIC_TWO
         assert len(solutions) == 2
-        assert list(solutions) == [4, 5]
-        assert 4 in solutions and 5 in solutions and 6 not in solutions
-        assert "0x4" in repr(solutions)
+        assert list(solutions) == [0xC, 0xD]
+        assert 0xC in solutions and 0xD in solutions and 0xE not in solutions
+        assert repr(solutions) == "SolutionSet([0xc, 0xd])"
 
     def test_subfield_container_protocol(self, f2):
-        solutions = SolutionSet.subfield_q2(f2)
+        solutions = solve_b_equals_1(f2)
         assert len(solutions) == f2.q**2
         listed = list(solutions)
         assert listed == sorted(listed)
@@ -810,14 +886,21 @@ class TestSolutionSet:
     def test_membership_takes_ints_only(self, f2, variant):
         # the rule of every solver entry point: bool and float are not
         # elements, even where they compare equal to one
-        solutions = (SolutionSet.subfield_q2(f2) if variant == "subfield_q2"
-                     else SolutionSet.explicit(f2, [1, 6]))
-        assert 1 in solutions
-        assert True not in solutions
+        if variant == "subfield_q2":
+            solutions = solve_b_equals_1(f2)
+        else:
+            solutions = solve(f2, next(b for b in range(f2.size) if is_in_s2(f2, b)))[1]
+        for x in solutions:
+            assert x in solutions and np.uint32(x) in solutions
+            assert float(x) not in solutions and np.float64(x) not in solutions
+        assert 1 in solutions or variant == "explicit"
+        assert True not in solutions and False not in solutions
         assert 1.0 not in solutions
+        assert -1 not in solutions and f2.size not in solutions
 
     def test_empty_container_protocol(self, f1):
-        solutions = SolutionSet.empty(f1)
+        classification, solutions = solve(f1, 0)
+        assert classification.case == CASE_NO_SOLUTION
         assert len(solutions) == 0
         assert list(solutions) == []
         assert 0 not in solutions
