@@ -73,9 +73,9 @@ BRUTEFORCE_CAP_BITS = 24
 
 # ensure_tables() and power_table() build their tables _EXP_CHUNK entries
 # at a time (_power_blocks), and the sweeps in spectrum work in the same
-# chunks: each block of half-pair values, each step of the histogram's run
-# count over its sorted values, and each batch of the verifier's root
-# re-check.  The temporaries of each step stay small enough for the caches.
+# chunks: each block of half-pair values and each step of the histogram's
+# run count over its sorted values.  The temporaries of each step stay
+# small enough for the caches.
 _EXP_CHUNK = 1 << 16
 
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+\Z")

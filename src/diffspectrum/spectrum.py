@@ -20,8 +20,8 @@ cap that switches the chain to the exponent form of
 tables take 8 bytes an element (128 MB at n = 6).  The formula path runs
 the pass once per field: the a = 1 row it relabels is kept on the field.
 The verifier builds no per-b solution set for the two-solution family: it
-takes the pair {x, x+1} from the chain's record, and re-verifies every
-listed root in chunked numpy passes over the field's x^d table.
+takes the pair {x, x+1} from the chain's record, and re-verifies each
+listed root in the per-b pass, where it lists it, on the field's x^d table.
 
 numpy is imported on first use, inside the functions that build or tally
 arrays (the tally, the histogram, ``ddt_row`` and the verifier), so
@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import json
 import time
-from array import array
 from dataclasses import dataclass, field as dataclass_field
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
@@ -432,29 +431,29 @@ def _check_all(
     field: Field, counts: np.ndarray
 ) -> Tuple[Dict[str, List[dict]], int]:
     """Classify every b, check its predicted count against the tally, and
-    re-verify every root the solver lists.
+    re-verify every root the solver lists, where it lists it.
 
     One chain run per b serves the prediction, and a completed chain's
-    root x gives the generic pair {x, x+1} directly.  b = 1 and the mu
-    case list their ``SolutionSet``; a mu-case listing raises
-    InternalDegenerate unless it holds q^2 - q distinct roots, and that
-    b gets an error row.  The tally is read through a memoryview, which yields
-    Python ints.  The roots are collected with their b in fixed-width
-    buffers and re-verified at the end, _EXP_CHUNK at a time, as
-    P[x] + P[x+1] = b on ``Field.power_table()`` P, which the tally has
-    already built.  Rows come out in ascending b within each tag, and the
-    roots of one b in the order the solution set lists them.
+    root x gives the generic pair {x, x+1} directly.  Each root is checked
+    as P[x] + P[x+1] = b on ``Field.power_table()`` P, which the tally has
+    already built; D(x) = D(x+1), so one comparison covers both roots of a
+    pair.  b = 1 and the mu case list their ``SolutionSet``; a mu-case
+    listing raises InternalDegenerate unless it holds q^2 - q distinct
+    roots, and that b gets an error row.  The tally and P are read through
+    memoryviews, which yield Python ints.  Rows come out in ascending b
+    within each tag, and the roots of one b in the order the solution set
+    lists them.
     """
-    import numpy as np
-
     mismatches: Dict[str, List[dict]] = {}
     s2_seen = 0
     actual_counts = memoryview(counts)  # indexes to Python ints, without a copy
-    root_b = array("I")
-    root_x = array("I")
+    power = memoryview(field.power_table())
 
     def record(tag: str, row: dict) -> None:
         mismatches.setdefault(tag, []).append(row)
+
+    def record_root(b: Element, x: Element) -> None:
+        record("root_verification", {"b": field.encode_hex(b), "x": field.encode_hex(x)})
 
     for b, classification, chain in _classified(field):
         case, predicted = classification
@@ -469,30 +468,16 @@ def _check_all(
             continue
         if generic:
             low = chain.branch.x & ~1  # the pair {x, x+1}, sorted
-            root_b.extend((b, b))
-            root_x.extend((low, low | 1))
+            if power[low] ^ power[low | 1] != b:
+                record_root(b, low)
+                record_root(b, low | 1)
         elif case != CASE_NO_SOLUTION:  # b = 1 or the mu case
             try:
-                roots = list(solver.SolutionSet(field, b, classification))
+                for x in solver.SolutionSet(field, b, classification):
+                    if power[x] ^ power[x ^ 1] != b:
+                        record_root(b, x)
             except InternalDegenerate as exc:
                 record(case, {"b": field.encode_hex(b), "error": str(exc)})
-                continue
-            root_x.extend(roots)
-            root_b.extend([b] * len(roots))
-
-    power = field.power_table()
-    all_x = np.frombuffer(root_x, dtype=np.uint32)
-    all_b = np.frombuffer(root_b, dtype=np.uint32)
-    for lo in range(0, len(root_x), _EXP_CHUNK):
-        xs = all_x[lo:lo + _EXP_CHUNK]
-        residue = power[xs]
-        residue ^= power[xs ^ 1]
-        residue ^= all_b[lo:lo + _EXP_CHUNK]  # zero where x solves
-        for i in (np.flatnonzero(residue) + lo).tolist():
-            record(
-                "root_verification",
-                {"b": field.encode_hex(root_b[i]), "x": field.encode_hex(root_x[i])},
-            )
     return mismatches, s2_seen
 
 
@@ -500,7 +485,7 @@ def verify_conjecture(field: Field) -> VerificationReport:
     """Exhaustively cross-check the solver against the brute-force oracle.
 
     Four phases: the exhaustive tally, the closed-form histogram, a per-b
-    classify/solve pass with one batched re-verification of every root,
+    classify/solve pass that re-verifies every root where it lists it,
     and the two-solution-family count comparison.  The tally is the
     chunked half-pair pass of ``bruteforce_counts``; the per-b pass runs
     one chain per b, serially, after ``field.ensure_tables()``.

@@ -33,6 +33,7 @@ from diffspectrum.spectrum import (
     METHOD_BRUTEFORCE,
     METHOD_FORMULA,
     SpectrumHistogram,
+    _check_all,
     bruteforce_counts,
     bruteforce_histogram,
     ddt_row,
@@ -516,6 +517,7 @@ class TestVerifyConjecture:
         wrong_root = {members[40]: 1, members[7]: 0}  # b: the x the chain lists
         mispredicted = {members[60], members[3]}  # the chain fails on a member
         broken_mu = mu[1]  # the mu-case construction raises
+        zero_first_mu = mu[2]  # the mu-case listing has 0 for its first root
         chain_of = solver.generic_intermediates
         solve_mu = solver.solve_mu_case
 
@@ -530,17 +532,21 @@ class TestVerifyConjecture:
         def faulty_mu(field, b):
             if b == broken_mu:
                 raise InternalDegenerate("injected")
-            return solve_mu(field, b)
+            roots = solve_mu(field, b)
+            return (0, *roots[1:]) if b == zero_first_mu else roots
 
         monkeypatch.setattr(solver, "generic_intermediates", faulty_chain)
         monkeypatch.setattr(solver, "solve_mu_case", faulty_mu)
         report = verify_conjecture(f2)
         hexed = f2.encode_hex
         assert report.passed is False
-        # D(0) = D(1) = 1, so neither root solves; rows ascend in b, then in x
+        # D(0) = D(1) = 1, so neither root solves; rows ascend in b, then in
+        # listing order
+        bad_roots = {b: (0, 1) for b in wrong_root}
+        bad_roots[zero_first_mu] = (0,)
         assert report.mismatches == {
             "root_verification": [
-                {"b": hexed(b), "x": hexed(x)} for b in sorted(wrong_root) for x in (0, 1)
+                {"b": hexed(b), "x": hexed(x)} for b in sorted(bad_roots) for x in bad_roots[b]
             ],
             CASE_NO_SOLUTION: [
                 {"b": hexed(b), "predicted": 0, "actual": 2} for b in sorted(mispredicted)
@@ -548,6 +554,15 @@ class TestVerifyConjecture:
             CASE_MU: [{"b": hexed(broken_mu), "error": "injected"}],
         }
         assert report.s2_enumerated_count == len(members) - len(mispredicted)
+
+    def test_check_all_keeps_no_root_buffer(self):
+        # On a warm field the per-b pass allocates its rows and per-b
+        # temporaries only.  The slack of 4 bytes per element is less than
+        # the two uint32 buffers that one entry per root would take.
+        field = Field(3)
+        counts = bruteforce_counts(field)
+        _check_all(field, counts)  # builds the tables and the chain's memo
+        assert _traced_peak(lambda: _check_all(field, counts)) <= 4 * field.size
 
     def test_alternate_modulus_passes(self):
         field = Field(2, modulus=0x11D)
