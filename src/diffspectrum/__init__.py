@@ -43,7 +43,6 @@ from .solver import (
     is_in_s2,
     iter_mu_witnesses,
     solve,
-    solve_b_equals_1,
     solve_mu_case,
     verify_solution,
 )
@@ -51,7 +50,6 @@ from .subgroups import (
     QuadraticRoots,
     c_plus_inv_decompose,
     solve_artin_schreier,
-    solve_quadratic,
     solve_t_from_T,
 )
 
@@ -120,9 +118,7 @@ __all__ = [
     "s2_enumerate",
     "solve",
     "solve_artin_schreier",
-    "solve_b_equals_1",
     "solve_mu_case",
-    "solve_quadratic",
     "solve_t_from_T",
     "verify_conjecture",
     "verify_solution",

@@ -644,21 +644,28 @@ class Field:
         no Field method changes its result.
 
         Every field within BRUTEFORCE_CAP_BITS gets them, and above that
-        degree the call does nothing.  exp holds g^i for i < q^4 - 1, copied
-        from the blocks of _power_blocks(g); log starts zeroed and is filled
-        by one uint32 scatter through a numpy view of its own buffer
-        (log[0] is a dead slot).  Both are array('I'): an item indexes to a
-        Python int, as a list's does, at 4 bytes an entry instead of a
-        list's ~36, so the two take 128 MB at n = 6.  The build holds about
-        12 bytes an element at its peak.
+        degree the call does nothing.  exp holds g^i for i < q^4 - 1 and
+        log the inverse map (log[0] is a dead slot).  Both are array('I'):
+        an item indexes to a Python int, as a list's does, at 4 bytes an
+        entry instead of a list's ~36, so the two take 128 MB at n = 6.
+        They are filled in place, one block of _power_blocks(g) at a time,
+        through numpy views of their own buffers: the block is copied into
+        exp and its exponents are scattered into log.  So the build holds
+        about 9 bytes an element at its peak.
         """
         if self._tables is not None or self.degree > BRUTEFORCE_CAP_BITS:
             return
         import numpy as np
 
-        exp, log = array("I"), array("I", [0]) * self.size
-        # the blocks run to g^(q^4 - 1) = 1 = g^0, which exp leaves out
-        powers = np.concatenate(list(self._power_blocks(self.primitive_element())))[:-1]
-        np.frombuffer(log, dtype=np.uint32)[powers] = np.arange(self.group_order, dtype=np.uint32)
-        exp.frombytes(powers.view(np.uint8))  # frombytes reads byte buffers only
+        N = self.group_order
+        exp, log = array("I", [0]) * N, array("I", [0]) * self.size
+        exp_view, log_view = np.frombuffer(exp, np.uint32), np.frombuffer(log, np.uint32)
+        lo = 0
+        for block in self._power_blocks(self.primitive_element()):
+            # the blocks run to g^(q^4 - 1) = 1 = g^0, which exp leaves out
+            block = block[:N - lo]
+            hi = lo + len(block)
+            exp_view[lo:hi] = block
+            log_view[block] = np.arange(lo, hi, dtype=np.uint32)
+            lo = hi
         self._tables = exp, log

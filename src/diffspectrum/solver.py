@@ -3,7 +3,8 @@
 Every b falls into one of four classification cases:
 
 * ``B_EQUALS_ONE`` -- b = 1; the solution set is the entire subfield
-  GF(q^2), of size q^2.
+  GF(q^2), of size q^2.  On GF(q^2) the exponent d reduces to 2q modulo
+  q^2 - 1, so x^d + (x+1)^d = (x + (x+1))^(2q) = 1 there.
 * ``MU_CASE`` -- b lies in the order-(q+1) roots-of-unity subgroup
   mu_{q+1} minus {1}; there are exactly q^2 - q solutions, each produced
   by a witness pair (z, w) in GF(q)* x GF(q)*.
@@ -64,7 +65,6 @@ __all__ = [
     "is_in_s2",
     "iter_mu_witnesses",
     "solve",
-    "solve_b_equals_1",
     "solve_mu_case",
     "verify_solution",
 ]
@@ -207,20 +207,6 @@ class SolutionSet:
 
 
 # ---------------------------------------------------------------------
-# Case b = 1: the solution set is the entire subfield GF(q^2).
-# ---------------------------------------------------------------------
-
-
-def solve_b_equals_1(field: Field) -> SolutionSet:
-    """Solution set for b = 1: every x in GF(q^2) and nothing else.
-
-    On GF(q^2) the exponent d reduces to 2q modulo q^2 - 1, so
-    x^d + (x+1)^d = (x + (x+1))^(2q) = 1 for all subfield x.
-    """
-    return SolutionSet(field, 1, Classification(CASE_B_EQUALS_ONE, field.q**2))
-
-
-# ---------------------------------------------------------------------
 # Mu case: b in mu_{q+1} \ {1}.
 # ---------------------------------------------------------------------
 
@@ -347,14 +333,6 @@ class GenericIntermediates(NamedTuple):
     branch: Optional[GenericBranch] = None
     failure: Optional[str] = None
 
-    @property
-    def solutions(self) -> Tuple[Element, ...]:
-        """The two roots (x, x+1) of a completed chain, else ()."""
-        if self.branch is None:
-            return ()
-        x = self.branch.x
-        return x, x ^ 1
-
 
 def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     """Run the explicit construction for b outside GF(q^2).
@@ -453,7 +431,7 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     if uu == 0:
         raise InternalDegenerate("U + U^2 vanished, but Tr_1^n(U + U^2) = 1")
     T = field.div(1 ^ field.frobenius_q(delta, 1), field.sqrt(uu))
-    t_pair = tuple(solve_t_from_T(field, T))
+    t_pair = solve_t_from_T(field, T)
     if not t_pair:
         raise InternalDegenerate("t + 1/t = T has no root, but Tr_1^(2n)(1/T) = 1")
 
@@ -532,7 +510,7 @@ def _generic_on_logs(field: Field, b: Element) -> GenericIntermediates:
         raise InternalDegenerate("U + U^2 vanished, but Tr_1^n(U + U^2) = 1")
     lT = (log[1 ^ exp[ld * q % N]] - log[uu] * half) % N
     T = exp[lT]
-    t_pair = tuple(solve_t_from_T(field, T))
+    t_pair = solve_t_from_T(field, T)
     if not t_pair:
         raise InternalDegenerate("t + 1/t = T has no root, but Tr_1^(2n)(1/T) = 1")
 

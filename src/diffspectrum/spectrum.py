@@ -59,7 +59,6 @@ from .solver import (
     _NO_SOLUTION,
     _as_integer,
     _classify_with_chain,
-    eval_derivative,
 )
 
 if TYPE_CHECKING:
@@ -74,7 +73,6 @@ __all__ = [
     "bruteforce_counts",
     "bruteforce_histogram",
     "ddt_row",
-    "eval_derivative",
     "formula_histogram",
     "s2_enumerate",
     "verify_conjecture",
@@ -404,8 +402,8 @@ class VerificationReport:
             and self.formula_histogram.entries == self.bruteforce_histogram.entries
         )
 
-    def as_dict(self, include_timings: bool = False) -> Dict[str, object]:
-        payload: Dict[str, object] = {
+    def as_dict(self) -> Dict[str, object]:
+        return {
             "pass": self.passed,
             "n": self.n,
             "modulus": format(self.modulus, "#x"),
@@ -417,14 +415,11 @@ class VerificationReport:
             "s2_formula_count": self.s2_formula_count,
             "s2_enumerated_count": self.s2_enumerated_count,
         }
-        if include_timings:
-            payload["elapsed_seconds"] = dict(self.elapsed)
-        return payload
 
-    def to_json(self, include_timings: bool = False) -> str:
-        """JSON with a top-level "pass"; timings off by default so output
-        is byte-identical across runs."""
-        return json.dumps(self.as_dict(include_timings=include_timings), indent=2)
+    def to_json(self) -> str:
+        """JSON with a top-level "pass" and no timings, so output is
+        byte-identical across runs."""
+        return json.dumps(self.as_dict(), indent=2)
 
 
 def _check_all(

@@ -9,7 +9,7 @@ The quadratic c^2 + z*c + 1 over a subfield GF(2^m) always has two roots
 in GF(2^(2m)); they multiply to 1 and land either both in GF(2^m) or both
 in mu_(2^m + 1), decided by the absolute trace of 1/z.  Solving the
 derivative equation reduces to locating such roots, so the Artin-Schreier
-and quadratic solvers live here too.  Every Artin-Schreier root on a field
+solver lives here too.  Every Artin-Schreier root on a field
 comes from one table: a GF(2)-linear right inverse of y -> y^2 + y on the
 whole field, found once by the field module's one GF(2) elimination
 (_echelon), serves every subfield GF(2^k).
@@ -42,7 +42,7 @@ ARTIN_SCHREIER = "artin_schreier"
 
 
 class QuadraticRoots(NamedTuple):
-    """Roots of a quadratic, sorted ascending; a repeated root appears twice.
+    """The roots of a quadratic, sorted ascending: two distinct roots or none.
 
     location is set only by c_plus_inv_decompose: "subfield" when both roots
     lie in GF(2^m)*, "unity_coset" when both lie in mu_(2^m + 1) \\ {1}.
@@ -95,26 +95,6 @@ def _artin_schreier_images(field: Field) -> list[int]:
     return [root_of.get(i, 0) for i in range(field.degree)]
 
 
-def solve_quadratic(field: Field, u: int, v: int, k: int) -> QuadraticRoots:
-    """Roots in GF(2^k) of x^2 + u*x + v = 0.
-
-    u = 0 degenerates to the bijective square map: one root, reported twice.
-    Otherwise the substitution x = u*y reduces to y^2 + y = v/u^2.
-    """
-    if k < 1 or field.degree % k:
-        raise OutOfRange(f"GF(2^{k}) is not a subfield of GF(2^{field.degree})")
-    for name, val in (("u", u), ("v", v)):
-        if not field.in_subfield(val, k):
-            raise NotInSubfield(f"coefficient {name}={val:#x} is not in GF(2^{k})")
-    if u == 0:
-        r = field.sqrt(v)
-        return QuadraticRoots((r, r))
-    base = solve_artin_schreier(field, field.div(v, field.square(u)), k)
-    if not base.roots:
-        return base
-    return QuadraticRoots(tuple(sorted(field.mul(u, y) for y in base.roots)))
-
-
 def c_plus_inv_decompose(field: Field, zval: int, m: int) -> QuadraticRoots:
     """The two c with c + 1/c = zval, for nonzero zval in GF(2^m).
 
@@ -122,7 +102,8 @@ def c_plus_inv_decompose(field: Field, zval: int, m: int) -> QuadraticRoots:
     either both in GF(2^m)* (absolute trace of 1/zval over GF(2^m) is 0) or
     both in mu_(2^m + 1) \\ {1} (trace is 1); the returned location tag
     records which.  Requires 2m | 4n so the ambient field contains both
-    homes.
+    homes.  With c = zval*y the quadratic becomes y^2 + y = 1/zval^2, one
+    Artin-Schreier solve over GF(2^(2m)).
     """
     if zval == 0:
         raise ZeroElement("zval must be nonzero")
@@ -132,27 +113,28 @@ def c_plus_inv_decompose(field: Field, zval: int, m: int) -> QuadraticRoots:
             f"which GF(2^{field.degree}) does not contain")
     if not field.in_subfield(zval, m):
         raise NotInSubfield(f"{zval:#x} is not in GF(2^{m})")
-    qr = solve_quadratic(field, zval, 1, 2 * m)
-    if len(qr.roots) != 2:  # trace of 1/zval^2 over GF(2^(2m)) is always 0
+    zinv = field.inv(zval)
+    ys = solve_artin_schreier(field, field.square(zinv), 2 * m).roots
+    if not ys:  # trace of 1/zval^2 over GF(2^(2m)) is always 0
         raise InternalDegenerate(f"c^2 + {zval:#x}*c + 1 has no roots in GF(2^{2 * m})")
-    tr = field.trace_rel(field.inv(zval), 1, m)
+    tr = field.trace_rel(zinv, 1, m)
     location = LOCATION_SUBFIELD if tr == 0 else LOCATION_UNITY_COSET
-    return QuadraticRoots(qr.roots, location)
+    return QuadraticRoots(tuple(sorted(field.mul(zval, y) for y in ys)), location)
 
 
-def solve_t_from_T(field: Field, Tval: int) -> list[int]:
+def solve_t_from_T(field: Field, Tval: int) -> tuple[int, ...]:
     """The t in mu_(q^2 + 1) \\ {1} with t + 1/t = Tval, for Tval in GF(q^2)*.
 
     Returns the two such t (each other's inverses, sorted) when the absolute
-    trace of 1/Tval over GF(q^2) is 1, and the empty list when it is 0, in
+    trace of 1/Tval over GF(q^2) is 1, and the empty tuple when it is 0, in
     which case both candidates sit in GF(q^2) instead.
 
     The answer depends on the field and Tval alone, and T repeats across b:
     on fields of at most BRUTEFORCE_CAP_BITS bits it is stored by Tval on
     the field, at most q^2 - 1 entries.  Larger fields, which no pass over
     every b reaches, store nothing.  Only answers are stored, so a Tval
-    that is 0 or outside GF(q^2) raises on every call, and every call
-    returns a new list.
+    that is 0 or outside GF(q^2) raises on every call, and a memo hit
+    returns the stored tuple itself.
     """
     roots = field._t_roots.get(Tval)
     if roots is None:
@@ -160,4 +142,4 @@ def solve_t_from_T(field: Field, Tval: int) -> list[int]:
         roots = () if dec.location == LOCATION_SUBFIELD else dec.roots
         if field.degree <= BRUTEFORCE_CAP_BITS:
             field._t_roots[Tval] = roots
-    return list(roots)
+    return roots

@@ -265,8 +265,8 @@ class TestExpTable:
 
     def test_tables_are_compact(self):
         # Two array('I') keep 8 bytes an element, where the Python lists
-        # they replaced kept ~76; the build peaks at ~12 (the log buffer, exp
-        # and one uint32 temporary at a time), where the lists peaked at ~88.
+        # they replaced kept ~76; the build adds one block of powers and
+        # the byte tables that make it, where the lists peaked at ~88.
         field = Field(5)
         tracemalloc.start()
         try:
@@ -278,6 +278,19 @@ class TestExpTable:
             assert isinstance(table, array) and table.itemsize == 4
         assert kept <= 9 * field.size
         assert peak <= 16 * field.size
+
+    def test_build_at_the_cap_fills_the_tables_in_place(self):
+        # each block of powers goes straight into exp and log through
+        # numpy views of their buffers; concatenating the blocks and
+        # scattering one field-sized index peaked at ~12 bytes an element
+        field = Field(6)
+        tracemalloc.start()
+        try:
+            field.ensure_tables()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * field.size
 
     def test_ensure_tables_above_sweep_cap_builds_nothing(self):
         field = Field(7)
@@ -630,7 +643,6 @@ BAD_PARAMETER_CALLS = {
     "subfield_basis": lambda f: f.subfield_basis(3),
     "trace_one_element": lambda f: f.trace_one_element(3),
     "solve_artin_schreier": lambda f: subgroups.solve_artin_schreier(f, 1, 3),
-    "solve_quadratic": lambda f: subgroups.solve_quadratic(f, 1, 1, 3),
 }
 
 

@@ -19,7 +19,6 @@ from diffspectrum.subgroups import (
     LOCATION_UNITY_COSET,
     c_plus_inv_decompose,
     solve_artin_schreier,
-    solve_quadratic,
     solve_t_from_T,
 )
 
@@ -158,45 +157,6 @@ class TestArtinSchreier:
         assert ARTIN_SCHREIER in field._linear_maps
 
 
-class TestSolveQuadratic:
-    def test_degenerate_u_zero(self, f1):
-        result = solve_quadratic(f1, 0, 1, f1.degree)
-        assert result.roots == (1, 1)
-
-    def test_u_one_v_zero(self, f1):
-        assert solve_quadratic(f1, 1, 0, f1.degree).roots == (0, 1)
-
-    @pytest.mark.parametrize("n", [1, 2, 3])
-    def test_random_roots_satisfy_equation(self, fields, n):
-        field = fields[n]
-        rng = random.Random(42)
-        size = 1 << field.degree
-        nonempty = 0
-        for _ in range(10_000):
-            u, v = rng.randrange(size), rng.randrange(size)
-            result = solve_quadratic(field, u, v, field.degree)
-            for x in result.roots:
-                assert field.square(x) ^ field.mul(u, x) ^ v == 0
-            nonempty += bool(result.roots)
-        assert nonempty > 0
-
-    def test_finds_all_roots_exhaustively(self, f1):
-        # compare against a direct scan over the field
-        size = 1 << f1.degree
-        for u in range(size):
-            for v in range(size):
-                expected = sorted(
-                    x for x in range(size) if f1.square(x) ^ f1.mul(u, x) ^ v == 0
-                )
-                got = sorted(set(solve_quadratic(f1, u, v, f1.degree).roots))
-                assert got == sorted(set(expected))
-
-    def test_rejects_coefficients_outside_subfield(self, f2):
-        outsider = f2.primitive_element()
-        with pytest.raises(NotInSubfield):
-            solve_quadratic(f2, outsider, 1, 2 * f2.n)
-
-
 class TestCPlusInvDecompose:
     def test_zero_rejected(self, f2):
         with pytest.raises(ZeroElement):
@@ -235,6 +195,18 @@ class TestCPlusInvDecompose:
                 assert result.location == LOCATION_UNITY_COSET
                 for c in result.roots:
                     assert field.pow(c, two_m + 1) == 1 and c != 1
+
+    @pytest.mark.parametrize("n,m", [(1, 1), (1, 2), (2, 2)])
+    def test_finds_all_roots_exhaustively(self, fields, n, m):
+        # compare against a direct scan over the field
+        field = fields[n]
+        for zval in field.iter_subfield(m):
+            if zval == 0:
+                continue
+            expected = sorted(
+                c for c in range(1, field.size) if c ^ field.inv(c) == zval
+            )
+            assert list(c_plus_inv_decompose(field, zval, m).roots) == expected
 
     def test_location_matches_membership_at_m2_n1(self, f1):
         # restates the dichotomy as a direct membership check
@@ -283,7 +255,7 @@ class TestSolveTFromT:
             ts = solve_t_from_T(field, tval)
             trace = field.trace_rel(field.inv(tval), 1, 2 * n)
             if trace == 0:
-                assert ts == []
+                assert ts == ()
             else:
                 assert len(ts) == 2
                 t0, t1 = ts
@@ -318,19 +290,19 @@ class TestSolveTFromT:
             if tval == 0:
                 continue
             dec = c_plus_inv_decompose(field, tval, 2 * n)
-            expected = [] if dec.location == LOCATION_SUBFIELD else list(dec.roots)
+            expected = () if dec.location == LOCATION_SUBFIELD else dec.roots
             assert solve_t_from_T(field, tval) == expected
             assert tval in field._t_roots
             assert solve_t_from_T(field, tval) == expected
         assert len(field._t_roots) <= field.q**2 - 1
 
-    def test_returned_list_is_a_copy(self, f2):
-        tval = next(t for t in f2.iter_subfield(4) if t and solve_t_from_T(f2, t))
-        first = solve_t_from_T(f2, tval)
-        expected = list(first)
-        first.append(0)
-        first[0] = 0
-        assert solve_t_from_T(f2, tval) == expected
+    def test_memo_hit_returns_the_stored_tuple(self):
+        field = Field(2)
+        tval = next(t for t in field.iter_subfield(4) if t and solve_t_from_T(field, t))
+        first = solve_t_from_T(field, tval)
+        assert isinstance(first, tuple) and len(first) == 2
+        assert solve_t_from_T(field, tval) is first
+        assert field._t_roots[tval] is first
 
     def test_invalid_T_raises_on_every_call(self):
         field = Field(2)
