@@ -240,7 +240,9 @@ def iter_mu_witnesses(field: Field, b: Element) -> Iterator[MuCaseWitness]:
 
     and 1/t = t + T, so 1/(1 + z t) = (1/z + 1/t)/(c w) = 1 + (t + z)/(c w).
     c*w is nonzero because b and w are, and it takes only q - 1 values
-    per b, so its q - 1 inverses serve every root.
+    per b, so its q - 1 inverses serve every root.  They are computed
+    during the pass of the first z, each when its w is reached, so the
+    first witness does not wait for all of them.
     """
     b = _require_element(field, b)
     n = field.n
@@ -250,15 +252,19 @@ def iter_mu_witnesses(field: Field, b: Element) -> Iterator[MuCaseWitness]:
         )
     c = field.sqrt(b)
     scaled = []  # (w, c*w, 1/(c*w)) for every w in GF(q)*
-    for w in field.iter_subfield(n):
-        if w:
-            cw = field.mul(c, w)
-            scaled.append((w, cw, field.inv(cw)))
+
+    def scale_while_walking():  # the first z's pass fills scaled
+        for w in field.iter_subfield(n):
+            if w:
+                cw = field.mul(c, w)
+                scaled.append((w, cw, field.inv(cw)))
+                yield scaled[-1]
+
     for z in field.iter_subfield(n):
         if z == 0:
             continue
         z_z_inv = z ^ field.inv(z)
-        for w, cw, cw_inv in scaled:
+        for w, cw, cw_inv in scaled or scale_while_walking():
             T = z_z_inv ^ cw
             if T == 0:
                 raise InternalDegenerate(

@@ -5,12 +5,15 @@ solution-count histogram, enumeration of the two-solution family,
 differential-table rows for arbitrary nonzero a, and a verifier that
 cross-checks the constructive solver against the oracle element by element.
 
-Every exhaustive sweep reads one generator of half-pair values: x and x + a
-give the same b, so it yields x^d + (x+a)^d for one x of each pair, in
-chunks, from strided views of the field's cached x^d table.  The per-b
-tally (``bruteforce_counts``, the bruteforce ``ddt_row`` and the
-verifier's oracle) adds them into one int64 array; ``bruteforce_histogram``
-sorts them and counts runs of equal values, so it builds no per-b array.
+Every exhaustive sweep reads one generator of half-pair operands: x and
+x + a give the same b, so it yields x^d and (x+a)^d for the x whose bit at
+a's highest set bit is clear, in chunks of the field's cached x^d table:
+slices and ``take``s, or for a = 1 two strided views.  Each caller XORs
+them into its own uint32 buffer.  The per-b tally (``bruteforce_counts``,
+the bruteforce ``ddt_row`` and the verifier's oracle) fills one reused
+block, sorts it and adds it into one int64 array, so the scatter walks that
+array in order; ``bruteforce_histogram`` sorts all the values and counts
+runs of equal ones, so it builds no per-b array.
 
 The enumeration, the formula path of ``ddt_row`` and the verifier share
 one per-b pass, which runs the generic chain once per b after
@@ -81,6 +84,10 @@ __all__ = [
 METHOD_FORMULA = "formula"
 METHOD_BRUTEFORCE = "bruteforce"
 
+# Pair values sorted per scatter into the per-b tally: 2^21 uint32 (8 MB).
+# Twice that breaks the warm n = 6 row's bound of 9 bytes per element.
+_TALLY_BLOCK = 1 << 21
+
 
 def _require_within_cap(field: Field, what: str) -> None:
     if field.degree > BRUTEFORCE_CAP_BITS:
@@ -94,52 +101,72 @@ def _require_within_cap(field: Field, what: str) -> None:
 # Exhaustive field sweep.
 # ---------------------------------------------------------------------
 
-def _pair_values(field: Field, a: Element) -> Iterator[np.ndarray]:
-    """Yield b = x^d + (x+a)^d for one x of every pair {x, x+a}, in blocks
-    of at most _EXP_CHUNK values.
+def _pair_values(field: Field, a: Element) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Yield (x^d, (x+a)^d) for one x of every pair {x, x+a}, as two
+    equal-length arrays of at most _EXP_CHUNK values; their XOR is b.
 
-    x and x + a give the same b, so only the x whose bit k (a's lowest set
-    bit) is clear are taken.  Viewed as ``(rows, 2, 2^k)``,
-    ``Field.power_table()`` holds those x^d at ``[r, 0, c]`` and their
-    partners (x+a)^d at ``[r ^ s, 1, c]``, where s = a >> (k+1).  A block
-    takes ``step`` aligned rows.  The bits of s from ``step`` up move its
-    partner rows as a whole; the bits below (``spread``) permute them
-    within the block.  Without those, as for every power of two, a block
-    is one XOR of two strided views with no index array; with them the
-    partner rows are one row gather.
+    x and x + a give the same b, so only the x whose bit h (a's highest set
+    bit) is clear are taken, read from ``Field.power_table()`` P one chunk
+    of C = _EXP_CHUNK entries at a time.  If 2^h >= C, a kept chunk of x
+    is a slice of P, and its partners are the slice at offset
+    x0 ^ (a & ~(C-1)), permuted by one ``take`` of arange(C) ^ (a & (C-1))
+    when those low bits are nonzero.  If 2^h < C, every pair lies within
+    one chunk, and the kept x and their partners are two ``take``s by one
+    index array, built once per call.  For a = 1 they are the even and the
+    odd entries of P, two strided views.
     """
     import numpy as np
 
-    low = a & -a
-    pairs = field.power_table().reshape(-1, 2, low)
-    rows = len(pairs)
-    shift = a // (2 * low)
-    step = max(1, _EXP_CHUNK // low)
-    spread = shift & (step - 1)
-    width = min(low, _EXP_CHUNK)
-    for r in range(0, rows, step):
-        count = min(step, rows - r)
-        start = r ^ shift ^ spread
-        if spread:
-            upper = np.take(pairs, np.arange(start, start + count) ^ spread, axis=0)[:, 1]
-        else:
-            upper = pairs[start:start + count, 1]
-        lower = pairs[r:r + count, 0]
-        for c in range(0, low, width):
-            yield lower[:, c:c + width] ^ upper[:, c:c + width]
+    power = field.power_table()
+    size = len(power)
+    if a == 1:
+        pairs = power.reshape(-1, 2)
+        for r in range(0, len(pairs), _EXP_CHUNK):
+            yield pairs[r:r + _EXP_CHUNK, 0], pairs[r:r + _EXP_CHUNK, 1]
+        return
+    top = 1 << (a.bit_length() - 1)
+    chunk = min(_EXP_CHUNK, size)
+    if top >= chunk:
+        spread = a & (chunk - 1)
+        within = np.arange(chunk) ^ spread
+        for x0 in range(0, size, chunk):
+            if x0 & top:
+                continue
+            start = x0 ^ (a & -chunk)
+            partners = power[start:start + chunk]
+            yield power[x0:x0 + chunk], (partners.take(within) if spread else partners)
+        return
+    kept = np.flatnonzero(np.arange(chunk) & top == 0)
+    moved = kept ^ a
+    for x0 in range(0, size, chunk):
+        block = power[x0:x0 + chunk]
+        yield block.take(kept), block.take(moved)
 
 
 def _derivative_tally(field: Field, a: Element) -> np.ndarray:
     """Per-b solution tally of x^d + (x+a)^d = b over the whole field.
 
-    Each block of ``_pair_values`` adds 2 at each of its b values (the two
-    x of a pair) into one int64 tally.
+    The operands of ``_pair_values`` are XORed into one uint32 block of at
+    most _TALLY_BLOCK entries, which is sorted in place and then scattered
+    into the int64 tally, 2 at each value (the two x of a pair).  A sorted
+    scatter walks the tally in order instead of missing the cache on every
+    add.  The tally stays int64: a narrower one is cast to a field-sized
+    intp array by any ``np.bincount`` of it.
     """
     import numpy as np
 
     counts = np.zeros(field.size, dtype=np.int64)
-    for values in _pair_values(field, a):
-        np.add.at(counts, values.ravel(), 2)
+    block = np.empty(min(_TALLY_BLOCK, field.size >> 1), dtype=np.uint32)
+    end = 0
+    for lower, upper in _pair_values(field, a):
+        if end + lower.size > len(block):
+            block[:end].sort()
+            np.add.at(counts, block[:end], 2)
+            end = 0
+        np.bitwise_xor(lower, upper, out=block[end:end + lower.size])
+        end += lower.size
+    block[:end].sort()
+    np.add.at(counts, block[:end], 2)
     return counts
 
 
@@ -225,21 +252,22 @@ def _histogram_from_counts(
 def bruteforce_histogram(field: Field) -> SpectrumHistogram:
     """Histogram of per-b solution counts from the exhaustive sweep.
 
-    Builds no per-b array: the 2^(4n-1) pair values of ``_pair_values``
-    (a = 1) fill one uint32 array, which is sorted in place.  A run of r
-    equal values is one b with 2r solutions; every b not in the array has
-    none.  Runs are found _EXP_CHUNK values at a time, each chunk compared
-    with the same chunk shifted back by one, so a run that crosses a seam
-    stays open until a later chunk starts the next one.
+    Builds no per-b array: the operands of ``_pair_values`` (a = 1) are
+    XORed into one uint32 array of the 2^(4n-1) pair values, which is
+    sorted in place.  A run of r equal values is one b with 2r solutions;
+    every b not in the array has none.  Runs are found _EXP_CHUNK values
+    at a time, each chunk compared with the same chunk shifted back by one,
+    so a run that crosses a seam stays open until a later chunk starts the
+    next one.
     """
     import numpy as np
 
     _require_within_cap(field, "exhaustive tally")
     values = np.empty(field.size >> 1, dtype=np.uint32)
     end = 0
-    for block in _pair_values(field, 1):
-        values[end:end + block.size] = block.ravel()
-        end += block.size
+    for lower, upper in _pair_values(field, 1):
+        np.bitwise_xor(lower, upper, out=values[end:end + lower.size])
+        end += lower.size
     values.sort()
 
     entries: Dict[int, int] = {}  # 2r -> number of runs of length r

@@ -292,6 +292,23 @@ class TestMuCase:
             for x in solve_mu_case(field, b):
                 assert not field.in_subfield(x, 2 * n)
 
+    def test_first_witness_builds_few_inverses(self, monkeypatch):
+        # (w, c*w, 1/(c*w)) is built as the first z reaches each w: the
+        # first witness costs one inverse per w visited, plus the t-step's,
+        # not the q - 1 = 127 of building them all up front (129 in all).
+        field = Field(7)
+        b = _mu_b(field)
+        inverses = []
+        inv = Field.inv
+        monkeypatch.setattr(Field, "inv", lambda self, x: inverses.append(x) or inv(self, x))
+        next(iter_mu_witnesses(field, b))
+        assert len(inverses) < 16
+        monkeypatch.undo()
+        # the witnesses still come out z by z, and w by w within one z
+        order = {v: i for i, v in enumerate(field.iter_subfield(field.n))}
+        pairs = [(order[w.z], order[w.w]) for w in islice(iter_mu_witnesses(field, b), 600)]
+        assert pairs == sorted(pairs) and len({z for z, _ in pairs}) > 1
+
 
 class TestGenericCase:
     def test_rejects_subfield_b(self, f2):

@@ -19,7 +19,7 @@ from diffspectrum.errors import (
     PreconditionViolated,
     ZeroElement,
 )
-from diffspectrum.field import Field
+from diffspectrum.field import _EXP_CHUNK, Field
 from diffspectrum.solver import (
     CASE_GENERIC_TWO,
     CASE_MU,
@@ -203,7 +203,8 @@ class TestSweepAtCap:
         assert _traced_peak(lambda: bruteforce_histogram(field)) <= 5 * field.size
 
     def test_warm_bruteforce_row_memory_per_element(self, swept_n6):
-        # The int64 row (8 bytes an element) and chunk-sized temporaries.
+        # The int64 row (8 bytes an element), the 8 MB sort block of the
+        # tally (0.5) and chunk-sized temporaries.
         field, _, _ = swept_n6
         a = random.Random(6).randrange(1, field.size)
         peak = _traced_peak(lambda: ddt_row(field, a, method=METHOD_BRUTEFORCE))
@@ -401,22 +402,25 @@ class TestDdtRow:
     )
     def test_bruteforce_row_matches_full_tally(self, n, modulus):
         # The half-pair tally against the plain tally over every x, with no
-        # pairing: every nonzero a up to 12 bits.  At n = 4 and 5, every
-        # a = 2^k (a strided XOR of two views) and, for each k below the top
-        # bit, two seeded a with lowest set bit k and bits above it: their
-        # partner rows are a gather, and at n = 5 with k >= 16, where a
-        # block is one row, a second strided view.
+        # pairing: every nonzero a up to 12 bits.  At n = 4 and 5, for every
+        # highest set bit h, a = 2^h and two seeded a = 2^h plus lower bits.
+        # With 2^h below _EXP_CHUNK a chunk's pairs are two takes; from it
+        # up, a kept chunk is a slice, its partners a slice plus a take of
+        # the bits of a below _EXP_CHUNK, and a pure slice without them
+        # (2^h, and at n = 5 seeded a with only high bits besides 2^h).
         field = Field(n, modulus)
         m, size = field.degree, field.size
         if m <= 12:
             directions = range(1, size)
         else:
             rng = random.Random(n)
-            directions = [1 << k for k in range(m)] + [size - 1]
+            directions = [1 << h for h in range(m)] + [size - 1]
             directions += [
-                (1 << k) | rng.randrange(1, 1 << (m - k - 1)) << (k + 1)
-                for k in range(m - 1)
-                for _ in range(2)
+                (1 << h) | rng.randrange(1, 1 << h) for h in range(1, m) for _ in range(2)
+            ]
+            k = _EXP_CHUNK.bit_length() - 1
+            directions += [
+                (1 << h) | rng.randrange(1, 1 << (h - k)) << k for h in range(k + 1, m)
             ]
         power = field.power_table()
         x = np.arange(size)
@@ -428,7 +432,8 @@ class TestDdtRow:
             assert not (row % 2).any()
 
     def test_bruteforce_row_allocates_one_tally(self):
-        # On a warm field a row allocates its int64 result plus chunk-sized
+        # On a warm field a row allocates its int64 result, the tally's
+        # uint32 sort block (2 bytes per element at n = 5) and chunk-sized
         # temporaries.  The slack of 4 bytes per element is less than one
         # field-sized int64 index or bincount cast, so either would fail.
         field = Field(5)
