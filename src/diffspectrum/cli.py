@@ -9,9 +9,10 @@ byte-identical output, and no timing information reaches stdout.
 ``csv``; ``verify`` always prints its JSON report and takes no
 ``--format``.
 
-Each command returns its output and exit code.  ``main`` alone writes
-the output, to stdout or ``--out``, and turns every error into one
-``error:`` line on stderr and an exit code:
+``main`` builds the field once per run, from ``--n`` and ``--modulus``,
+and passes it to the command, which returns its output and exit code.
+``main`` alone writes the output, to stdout or ``--out``, and turns every
+error into one ``error:`` line on stderr and an exit code:
 
 * 0 -- success (and, for ``verify``, the report passed)
 * 1 -- verification failure (``verify`` report did not pass)
@@ -131,8 +132,7 @@ def _build_field(args: argparse.Namespace) -> Field:
     return Field(args.n, modulus)
 
 
-def _cmd_classify(args: argparse.Namespace) -> Tuple[str, int]:
-    field = _build_field(args)
+def _cmd_classify(args: argparse.Namespace, field: Field) -> Tuple[str, int]:
     b = field.decode_hex(args.b)
     classification = classify(field, b)
     payload = {"case": classification.case, "count": classification.predicted_count}
@@ -146,8 +146,7 @@ def _cmd_classify(args: argparse.Namespace) -> Tuple[str, int]:
     return " ".join(f"{key}={value}" for key, value in payload.items()), EXIT_OK
 
 
-def _cmd_solve(args: argparse.Namespace) -> Tuple[str, int]:
-    field = _build_field(args)
+def _cmd_solve(args: argparse.Namespace, field: Field) -> Tuple[str, int]:
     b = field.decode_hex(args.b)
     classification, solutions = solve(field, b)
     summarise_subfield = (
@@ -171,10 +170,9 @@ def _cmd_solve(args: argparse.Namespace) -> Tuple[str, int]:
     return "\n".join([f"count={len(solutions)}", *roots]), EXIT_OK
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> Tuple[str, int]:
+def _cmd_spectrum(args: argparse.Namespace, field: Field) -> Tuple[str, int]:
     from .spectrum import bruteforce_histogram, formula_histogram
 
-    field = _build_field(args)
     if args.method == METHOD_BRUTEFORCE:
         histogram = bruteforce_histogram(field)
     else:
@@ -187,10 +185,9 @@ def _cmd_spectrum(args: argparse.Namespace) -> Tuple[str, int]:
     return render(), EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> Tuple[str, int]:
+def _cmd_verify(args: argparse.Namespace, field: Field) -> Tuple[str, int]:
     from .spectrum import verify_conjecture
 
-    field = _build_field(args)
     report = verify_conjecture(field)
     return report.to_json(), EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
@@ -225,7 +222,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits with 2 on usage errors and 0 for --help
         return int(exc.code or 0)
     try:
-        text, code = _COMMANDS[args.command](args)
+        text, code = _COMMANDS[args.command](args, _build_field(args))
         if not text.endswith("\n"):
             text += "\n"
         if args.out:

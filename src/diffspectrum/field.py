@@ -65,7 +65,8 @@ Element = int
 MAX_N = 15
 
 # Exhaustive passes over every element run only on fields of at most this
-# many bits; spectrum checks it before building any table.  Tables keyed by
+# many bits; _require_within_cap is the one check, made by power_table()
+# and by spectrum's passes before either builds a table.  Tables keyed by
 # element (the log tables of ensure_tables, subgroups.solve_t_from_T's memo)
 # use the same bound: within it a pass over every b exists to fill and
 # reuse them.
@@ -228,6 +229,16 @@ def _vec_mul_const(arr: np.ndarray, c: int, field: Field) -> np.ndarray:
     return _byte_products(_byte_product_tables(np.asarray(c), field), arr)
 
 
+def _require_within_cap(field: Field, what: str) -> None:
+    """Raise FieldTooLarge if field is past BRUTEFORCE_CAP_BITS; what names
+    the table or pass that would have been built."""
+    if field.degree > BRUTEFORCE_CAP_BITS:
+        raise FieldTooLarge(
+            f"{what} over GF(2^{field.degree}) exceeds the "
+            f"{BRUTEFORCE_CAP_BITS}-bit cap"
+        )
+
+
 def _prime_factors(x: int) -> list[int]:
     out = []
     p = 2
@@ -302,7 +313,6 @@ class Field:
         self._frobenius: list[tuple[array, ...] | None] = [None] * self.degree
         self._primitive: int | None = None
         self._subfield_bases: dict[int, tuple[int, ...]] = {}
-        self._trace_one: dict[int, int] = {}
         self._linear_maps: dict[Hashable, tuple[array, ...]] = {}
         # subgroups.solve_t_from_T's roots by T, kept on fields within
         # BRUTEFORCE_CAP_BITS.
@@ -551,22 +561,22 @@ class Field:
         lowest basis element of trace 1 every u < 2^j has trace 0 and the
         smallest such u is 2^j itself: the scan takes at most 4n steps.
 
-        No solver path needs it since the Artin-Schreier roots come from one
-        linear right inverse (subgroups.solve_artin_schreier).  It stays
-        public because perfbench times it as the field.trace_one_ms layer.
+        Each call computes the witness afresh; the trace tables it reads
+        are kept by trace_rel.  No library code calls it, since the
+        Artin-Schreier roots come from one linear right inverse
+        (subgroups.solve_artin_schreier).  It stays public because the
+        benchmark times its first call on a fresh field as the
+        field.trace_one_ms layer.
         """
         if k < 1 or self.degree % k:
             raise OutOfRange(f"GF(2^{k}) is not a subfield of GF(2^{self.degree})")
-        if k not in self._trace_one:
-            j = 0
-            while self.trace_rel(1 << j, 1, self.degree) != 1:
-                j += 1
-            u = 1 << j
-            theta = self.trace_rel(u, k, self.degree)
-            if self.trace_rel(theta, 1, k) != 1:
-                raise InternalDegenerate(f"pushed-down witness {theta:#x} has trace 0")
-            self._trace_one[k] = theta
-        return self._trace_one[k]
+        j = 0
+        while self.trace_rel(1 << j, 1, self.degree) != 1:
+            j += 1
+        theta = self.trace_rel(1 << j, k, self.degree)
+        if self.trace_rel(theta, 1, k) != 1:
+            raise InternalDegenerate(f"pushed-down witness {theta:#x} has trace 0")
+        return theta
 
     # -- discrete-log tables ----------------------------------------------
 
@@ -598,11 +608,7 @@ class Field:
         import numpy as np
 
         if self._power is None:
-            if self.degree > BRUTEFORCE_CAP_BITS:
-                raise FieldTooLarge(
-                    f"x -> x^d table over GF(2^{self.degree}) exceeds the "
-                    f"{BRUTEFORCE_CAP_BITS}-bit cap"
-                )
+            _require_within_cap(self, "x -> x^d table")
             g = self.primitive_element()
             table = np.zeros(self.size, dtype=np.uint32)
             for x, y in zip(self._power_blocks(g), self._power_blocks(self.pow(g, self.d))):

@@ -361,9 +361,12 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     and keeps the branch only if x satisfies the original equation.  Then
     x+1 does too, since D(x+1) = D(x) for D(x) = x^d + (x+1)^d.
 
-    alpha and beta lie in GF(q^2), beta != 0 because b is outside
-    GF(q^2), and delta lies in mu_(q+1).  The chain obeys these
-    identities, which give the formulas above their short form:
+    alpha and beta lie in GF(q^2), and delta lies in mu_(q+1).  beta = 0
+    exactly when c^(q^2) = c, i.e. when b = 1/c^2 lies in GF(q^2) (with
+    c = 0 for b = 0), so beta = 0 is the chain's precondition test: it
+    raises PreconditionViolated there, the one GF(q^2) test this form
+    makes.  The chain obeys these identities, which give the formulas
+    above their short form:
 
     1. gamma + gamma^(q^2) = (c + c')/beta = 1, so the paper's
        B1 = gamma t + gamma^(q^2)/t and B = gamma/t + gamma^(q^2) t are
@@ -415,12 +418,12 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     if field._tables is not None:
         return _generic_on_logs(field, b)
     q = field.q
-    if field.in_subfield(b, 2 * field.n):
-        raise PreconditionViolated(_inside_gf_q2(field, b))
-    c = field.inv(field.sqrt(b))
+    c = b and field.inv(field.sqrt(b))  # c = 0 stands in for b = 0
     c_q2 = field.frobenius_q(c, 2)
+    beta = c ^ c_q2
+    if beta == 0:  # c, and with it b = 1/c^2, lies in GF(q^2)
+        raise PreconditionViolated(_inside_gf_q2(field, b))
     alpha = field.mul(c, c_q2)
-    beta = c ^ c_q2  # nonzero precisely because b is outside GF(q^2)
     delta = field.pow(field.div(beta, alpha), q - 1)
     if delta == 1:
         return GenericIntermediates(b, c, alpha, beta, delta, failure=FAIL_DELTA_ONE)

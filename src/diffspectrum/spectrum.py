@@ -33,8 +33,9 @@ for ``spectrum`` and ``verify``, and the package resolves its names on
 first use, so ``classify`` and ``solve`` do not load it either.
 
 Exhaustive passes are capped at fields of ``BRUTEFORCE_CAP_BITS`` = 24
-bits, checked before any table is built; the closed-form histogram has no
-cap.
+bits.  Each public pass checks it before any table is built, through
+``field._require_within_cap``, the check that ``Field.power_table`` makes
+too; the closed-form histogram has no cap.
 """
 
 from __future__ import annotations
@@ -46,13 +47,19 @@ from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
 
 from . import solver
 from .errors import (
-    FieldTooLarge,
     InternalDegenerate,
     OutOfRange,
     PreconditionViolated,
     ZeroElement,
 )
-from .field import BRUTEFORCE_CAP_BITS, _EXP_CHUNK, Element, Field, _vec_mul_const
+from .field import (
+    BRUTEFORCE_CAP_BITS,
+    _EXP_CHUNK,
+    Element,
+    Field,
+    _require_within_cap,
+    _vec_mul_const,
+)
 from .solver import (
     CASE_GENERIC_TWO,
     CASE_NO_SOLUTION,
@@ -87,14 +94,6 @@ METHOD_BRUTEFORCE = "bruteforce"
 # Pair values sorted per scatter into the per-b tally: 2^21 uint32 (8 MB).
 # Twice that breaks the warm n = 6 row's bound of 9 bytes per element.
 _TALLY_BLOCK = 1 << 21
-
-
-def _require_within_cap(field: Field, what: str) -> None:
-    if field.degree > BRUTEFORCE_CAP_BITS:
-        raise FieldTooLarge(
-            f"{what} over GF(2^{field.degree}) exceeds the "
-            f"{BRUTEFORCE_CAP_BITS}-bit cap"
-        )
 
 
 # ---------------------------------------------------------------------

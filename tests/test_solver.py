@@ -3,8 +3,8 @@
 import random
 import time
 from collections import Counter
-from functools import partial
-from itertools import islice
+from functools import cache, partial
+from itertools import combinations, islice
 
 import numpy as np
 import pytest
@@ -206,6 +206,93 @@ class TestIsInS2:
             if is_in_s2(field, b):
                 assert not field.in_subfield(b, 2 * n)
                 assert field.pow(b, q + 1) != 1
+
+
+def explicit_s2_member(field, b):
+    """The paper's explicit two-solution set, for b outside GF(q^2).
+
+    sigma1, sigma2 and sigma4 are the elementary symmetric functions of
+    the conjugates b, b^q, b^(q^2), b^(q^3), so they lie in GF(q); b has
+    two solutions exactly when sigma1 != 0 and
+    Tr_1^n((1 + sigma2 + sigma4) / sigma1^2) = 0.  Built here from those
+    definitions alone, not from the chain; trace_rel raises unless its
+    argument lies in GF(q).
+    """
+    conjugates = [field.frobenius_q(b, i) for i in range(4)]
+    sigma1 = conjugates[0] ^ conjugates[1] ^ conjugates[2] ^ conjugates[3]
+    if sigma1 == 0:
+        return False
+    sigma2 = 0
+    for u, v in combinations(conjugates, 2):
+        sigma2 ^= field.mul(u, v)
+    sigma4 = field.mul(field.mul(conjugates[0], conjugates[1]),
+                       field.mul(conjugates[2], conjugates[3]))
+    ratio = field.div(1 ^ sigma2 ^ sigma4, field.square(sigma1))
+    return field.trace_rel(ratio, 1, field.n) == 0
+
+
+# Seeded b for the predicate: against the tally at n = 4, where the whole
+# field would take ~1.7 s, and against classify past the sweep cap.
+S2_PREDICATE_N4_SAMPLES = 4096
+S2_PREDICATE_SAMPLES = 60
+
+
+class TestExplicitTwoSolutionSet:
+    @pytest.mark.parametrize(
+        "n, modulus", [(1, None), (2, None), (3, None), (2, 0x11D)]
+    )
+    def test_matches_bruteforce_exhaustive(self, fields, n, modulus):
+        field = fields[n] if modulus is None else Field(n, modulus)
+        counts = bruteforce_counts(field)
+        mismatches = [b for b in outside_gf_q2(field)
+                      if explicit_s2_member(field, b) != (counts[b] == 2)]
+        assert mismatches == []
+
+    def test_n4_sampled_against_bruteforce(self, f4):
+        counts = bruteforce_counts(f4)
+        rng = random.Random("explicit-s2:4")
+        bs = rng.sample(outside_gf_q2(f4), S2_PREDICATE_N4_SAMPLES)
+        assert [b for b in bs if explicit_s2_member(f4, b) != (counts[b] == 2)] == []
+
+    @pytest.mark.parametrize("n", [7, 8, 15])
+    def test_matches_classify_past_sweep_cap(self, n):
+        field = Field(n)
+        bs = seeded_outside_gf_q2(field, S2_PREDICATE_SAMPLES, f"explicit-s2:{n}")
+        members = {b for b in bs if classify(field, b).case == CASE_GENERIC_TWO}
+        assert {b for b in bs if explicit_s2_member(field, b)} == members
+        assert 0 < len(members) < len(bs)
+
+
+def assert_frobenius_equivariant(field, bs):
+    """x solves the equation for b exactly when x^2 solves it for b^2, since
+    squaring is a field automorphism: b^2 gets b's classification, and a
+    completed chain's pair for b^2 is the square of the pair for b.  Each
+    b is solved once, as itself or as a square."""
+    solved = cache(partial(solve, field))
+    for b in bs:
+        classification, solutions = solved(b)
+        classification_sq, solutions_sq = solved(field.square(b))
+        assert classification_sq == classification, b
+        if classification.case == CASE_GENERIC_TWO:
+            assert sorted(field.square(x) for x in solutions) == list(solutions_sq), b
+
+
+# Seeded b per field past the sweep cap.
+EQUIVARIANCE_SAMPLES = 30
+
+
+class TestFrobeniusEquivariance:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_exhaustive(self, request, n):
+        field = request.getfixturevalue(f"f{n}")
+        assert_frobenius_equivariant(field, range(field.size))
+
+    @pytest.mark.parametrize("n", [7, 8, 15])
+    def test_seeded_past_sweep_cap(self, n):
+        field = Field(n)
+        rng = random.Random(f"equivariance:{n}")
+        assert_frobenius_equivariant(
+            field, [rng.randrange(field.size) for _ in range(EQUIVARIANCE_SAMPLES)])
 
 
 class TestSolveBEquals1:
@@ -465,6 +552,10 @@ def chain_identity_violations(field, bs):
     return violations
 
 
+# Seeded b per field past the sweep cap, where no exhaustive check runs.
+CHAIN_IDENTITY_SAMPLES = 20
+
+
 class TestChainIdentities:
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_exhaustive(self, fields, n):
@@ -482,6 +573,12 @@ class TestChainIdentities:
         rng = random.Random("chain-identities:4")
         bs = rng.sample(outside_gf_q2(f4), N4_REFERENCE_SAMPLES)
         assert chain_identity_violations(f4, bs) == []
+
+    @pytest.mark.parametrize("n", [7, 8, 15])
+    def test_sampled_past_sweep_cap(self, n):
+        field = Field(n)
+        bs = seeded_outside_gf_q2(field, CHAIN_IDENTITY_SAMPLES, f"chain-identities:{n}")
+        assert chain_identity_violations(field, bs) == []
 
 
 def reference_generic_intermediates(field, b):
@@ -574,6 +671,17 @@ def reference_generic_intermediates(field, b):
 
 def outside_gf_q2(field):
     return [b for b in range(field.size) if not field.in_subfield(b, 2 * field.n)]
+
+
+def seeded_outside_gf_q2(field, count, seed):
+    """count b outside GF(q^2), drawn from random.Random(seed) at any n."""
+    rng = random.Random(seed)
+    bs = []
+    while len(bs) < count:
+        b = rng.randrange(field.size)
+        if not field.in_subfield(b, 2 * field.n):
+            bs.append(b)
+    return bs
 
 
 def assert_chain_matches_reference(field, bs):
@@ -670,12 +778,7 @@ class TestExponentChain:
         plain = Field(n)
         tables.ensure_tables()
         assert tables._tables is not None and plain._tables is None
-        rng = random.Random(f"exponent-chain:{n}")
-        bs = []
-        while len(bs) < EXPONENT_CHAIN_SAMPLES:
-            b = rng.randrange(plain.size)
-            if not plain.in_subfield(b, 2 * plain.n):
-                bs.append(b)
+        bs = seeded_outside_gf_q2(plain, EXPONENT_CHAIN_SAMPLES, f"exponent-chain:{n}")
         failures = Counter()
         for b in bs:
             record = chain_or_raise(tables, b)
@@ -774,6 +877,8 @@ class TestSolveDispatch:
 # field-sized scans, which take minutes from n = 6 on.
 BEYOND_CAP_SAMPLES = 12
 BEYOND_CAP_BUDGET_S = 30.0
+# The irreducible of degree 28 next after the default 0x10000003.
+SECOND_MODULUS_N7 = 0x10000009
 
 
 class TestBeyondSweepCap:
@@ -783,9 +888,13 @@ class TestBeyondSweepCap:
     NO_SOLUTION, and a two-solution b must list x among its roots.
     """
 
-    @pytest.mark.parametrize("n", [5, 6, 8, 15])
-    def test_sampled_b_keep_their_root(self, n):
-        field = Field(n)
+    @pytest.mark.parametrize(
+        "n, modulus",
+        [pytest.param(n, None, id=str(n)) for n in (5, 6, 7, 8, 15)]
+        + [pytest.param(7, SECOND_MODULUS_N7, id=f"7-{SECOND_MODULUS_N7:#x}")],
+    )
+    def test_sampled_b_keep_their_root(self, n, modulus):
+        field = Field(n, modulus)
         rng = random.Random(f"beyond-cap:{n}")
         start = time.perf_counter()
         for _ in range(BEYOND_CAP_SAMPLES):
