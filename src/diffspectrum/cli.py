@@ -45,7 +45,7 @@ from .field import Field
 from .solver import (
     CASE_B_EQUALS_ONE,
     CASE_GENERIC_TWO,
-    classify,
+    _classify_with_chain,
     solve,
     verify_solution,
 )
@@ -134,10 +134,11 @@ def _build_field(args: argparse.Namespace) -> Field:
 
 def _cmd_classify(args: argparse.Namespace, field: Field) -> Tuple[str, int]:
     b = field.decode_hex(args.b)
-    classification = classify(field, b)
+    classification, chain = _classify_with_chain(field, b)
     payload = {"case": classification.case, "count": classification.predicted_count}
-    if not field.in_subfield(b, 2 * field.n):
-        # outside GF(q^2), membership in the two-solution family is the case
+    if chain is not None:
+        # the chain runs exactly for b outside GF(q^2), where membership in
+        # the two-solution family is the case
         payload["s2"] = int(classification.case == CASE_GENERIC_TWO)
     if args.format == FORMAT_JSON:
         import json

@@ -12,8 +12,8 @@ slices and ``take``s, or for a = 1 two strided views.  Each caller XORs
 them into its own uint32 buffer.  The per-b tally (``bruteforce_counts``,
 the bruteforce ``ddt_row`` and the verifier's oracle) fills one reused
 block, sorts it and adds it into one int64 array, so the scatter walks that
-array in order; ``bruteforce_histogram`` sorts all the values and counts
-runs of equal ones, so it builds no per-b array.
+array in order; ``bruteforce_histogram`` sorts all the values and reads
+only the neighbours that repeat, so it builds no per-b array.
 
 The enumeration, the formula path of ``ddt_row`` and the verifier share
 one per-b pass, which runs the generic chain once per b after
@@ -253,11 +253,11 @@ def bruteforce_histogram(field: Field) -> SpectrumHistogram:
 
     Builds no per-b array: the operands of ``_pair_values`` (a = 1) are
     XORed into one uint32 array of the 2^(4n-1) pair values, which is
-    sorted in place.  A run of r equal values is one b with 2r solutions;
-    every b not in the array has none.  Runs are found _EXP_CHUNK values
-    at a time, each chunk compared with the same chunk shifted back by one,
-    so a run that crosses a seam stays open until a later chunk starts the
-    next one.
+    sorted in place.  A run of r equal values is one b with 2r solutions
+    and holds r - 1 consecutive repeats (a value equal to the one before
+    it), so one compare over the array finds every run longer than one
+    value; every other b in the array has 2 solutions, and every b not in
+    it has none.
     """
     import numpy as np
 
@@ -269,22 +269,17 @@ def bruteforce_histogram(field: Field) -> SpectrumHistogram:
         end += lower.size
     values.sort()
 
-    entries: Dict[int, int] = {}  # 2r -> number of runs of length r
-    run_start = 0
-    for lo in range(1, end, _EXP_CHUNK):
-        hi = min(lo + _EXP_CHUNK, end)
-        starts = np.flatnonzero(values[lo:hi] != values[lo - 1:hi - 1]) + lo
-        if hi == end:
-            starts = np.append(starts, end)  # the last run ends with the array
-        if not len(starts):
-            continue  # the open run covers this whole chunk
-        found = np.bincount(np.diff(starts, prepend=run_start))
-        for length in np.flatnonzero(found).tolist():
-            entries[2 * length] = entries.get(2 * length, 0) + int(found[length])
-        run_start = int(starts[-1])
-    zeros = field.size - sum(entries.values())  # one run per b that has solutions
-    if zeros:
-        entries[0] = zeros
+    repeats = np.flatnonzero(values[1:] == values[:-1])
+    # A gap in the repeats starts the next long run; -2 makes the first
+    # repeat start one.
+    firsts = np.flatnonzero(np.diff(repeats, prepend=-2) != 1)
+    runs = np.diff(firsts, append=len(repeats)) + 1
+    lengths, mults = np.unique(runs, return_counts=True)
+    entries = {2 * r: m for r, m in zip(lengths.tolist(), mults.tolist())}
+    solved = len(values) - len(repeats)  # one b per run
+    for count, mult in ((2, solved - len(firsts)), (0, field.size - solved)):
+        if mult:
+            entries[count] = mult
     return SpectrumHistogram(n=field.n, method=METHOD_BRUTEFORCE, entries=entries)
 
 

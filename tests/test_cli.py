@@ -29,6 +29,7 @@ from diffspectrum.cli import (
     EXIT_VERIFY_FAILED,
     main,
 )
+from diffspectrum.field import Field
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -98,6 +99,22 @@ class TestClassify:
         code, out, _ = run(capsys, "classify", "--n", "1", "--b", "0x2")
         assert code == EXIT_OK
         assert out == "case=NO_SOLUTION count=0 s2=0\n"
+
+    def test_tests_subfield_once(self, capsys, monkeypatch):
+        # s2= is printed from whether the solver ran its chain, so the CLI
+        # adds no GF(q^2) test of its own
+        calls = []
+        in_subfield = Field.in_subfield
+
+        def counted(field, a, k):
+            calls.append((a, k))
+            return in_subfield(field, a, k)
+
+        monkeypatch.setattr(Field, "in_subfield", counted)
+        code, out, _ = run(capsys, "classify", "--n", "4", "--b", "0x1234")
+        assert code == EXIT_OK
+        assert out.startswith("case=") and " s2=" in out
+        assert calls.count((0x1234, 8)) == 1
 
     def test_subfield_member_has_no_bit(self, capsys):
         # 0x6 generates mu_{q+1} at n=1 and lies inside GF(q^2).

@@ -119,9 +119,9 @@ class TestBruteforceHistogram:
         [(1, None), (2, None), (3, None), (4, None), (5, None), (2, 0x11D), (3, 0x1017)],
     )
     def test_matches_per_b_tally(self, n, modulus):
-        # The histogram counts runs in the sorted pair values, _EXP_CHUNK at
-        # a time; at n = 5 its 2^19 values take eight chunks, so a run that
-        # is miscounted where two chunks meet shows here.
+        # The histogram reads only the repeats in the sorted pair values: a
+        # miscounted run of b = 1, which starts the array, or of a mu_(q+1)
+        # b, both of them runs longer than one value, shows here.
         field = Field(n, modulus)
         tallies = np.bincount(bruteforce_counts(field))
         expected = {count: int(mult) for count, mult in enumerate(tallies) if mult}
@@ -197,10 +197,10 @@ class TestSweepAtCap:
         assert peak <= 9 * field.size
 
     def test_warm_histogram_memory_per_element(self, swept_n6):
-        # The sorted uint32 pair values (2 bytes an element) and
-        # chunk-sized temporaries; no per-b array.
+        # The sorted uint32 pair values (2 bytes an element) and the bool
+        # mask of repeats (0.5); a per-b uint16 array would add 2 more.
         field, _, _ = swept_n6
-        assert _traced_peak(lambda: bruteforce_histogram(field)) <= 5 * field.size
+        assert _traced_peak(lambda: bruteforce_histogram(field)) <= 3 * field.size
 
     def test_warm_bruteforce_row_memory_per_element(self, swept_n6):
         # The int64 row (8 bytes an element), the 8 MB sort block of the
