@@ -61,4 +61,5 @@ class InternalDegenerate(GF2Error):
 
 
 class FieldTooLarge(GF2Error):
-    """An exhaustive sweep was requested over a field beyond the sweep cap."""
+    """An exhaustive sweep was requested over a field beyond the sweep cap,
+    or a CLI ``solve`` listing longer than its cap."""

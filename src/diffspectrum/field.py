@@ -25,8 +25,9 @@ a^(2^i) over the set bits i of e, mul and square are a schoolbook
 shift-and-reduce, inv is extended Euclid and div is mul(a, inv(b)), one
 path each on every field.  ensure_tables() builds the exp and log tables
 of g, two array('I') of 4 bytes an entry, on every field within
-BRUTEFORCE_CAP_BITS; only solver's generic chain reads them, and no Field
-method changes its result.
+BRUTEFORCE_CAP_BITS.  Only two solver paths read them, the generic chain
+and the mu-case witness walk, whose roots become one log difference each;
+no Field method changes its result.
 
 numpy is imported only inside the functions that build arrays:
 power_table(), ensure_tables() and the byte-product helpers behind them
@@ -73,10 +74,9 @@ MAX_N = 15
 BRUTEFORCE_CAP_BITS = 24
 
 # ensure_tables() and power_table() build their tables _EXP_CHUNK entries
-# at a time (_power_blocks), and the sweeps in spectrum work in the same
-# chunks: each block of half-pair values and each step of the histogram's
-# run count over its sorted values.  The temporaries of each step stay
-# small enough for the caches.
+# at a time (_power_blocks), and spectrum's sweeps read the x^d table in
+# chunks of the same size (the half-pair operands of _pair_values).  The
+# temporaries of each step stay small enough for the caches.
 _EXP_CHUNK = 1 << 16
 
 _HEX_RE = re.compile(r"0[xX][0-9a-fA-F]+\Z")
@@ -309,6 +309,10 @@ class Field:
         # spectrum.ddt_row once its per-b pass has built it.
         self._formula_row_one: np.ndarray | None = None
         self._tables: tuple[array, array] | None = None
+        # (N, q, d, 1/2 mod N, q^2, q - 1, q + 1), kept by
+        # solver._generic_on_logs on its first call, so that its per-b
+        # prologue is one unpacking.
+        self._log_constants: tuple[int, ...] | None = None
         # frobenius2's byte tables of a -> a^(2^j), by j in 0..degree-1
         self._frobenius: list[tuple[array, ...] | None] = [None] * self.degree
         self._primitive: int | None = None
@@ -646,8 +650,9 @@ class Field:
 
     def ensure_tables(self) -> None:
         """Build the discrete-log tables that switch
-        solver.generic_intermediates to its exponent form (idempotent);
-        no Field method changes its result.
+        solver.generic_intermediates to its exponent form and
+        solver.iter_mu_witnesses to log-difference roots (idempotent); no
+        Field method changes its result.
 
         Every field within BRUTEFORCE_CAP_BITS gets them, and above that
         degree the call does nothing.  exp holds g^i for i < q^4 - 1 and

@@ -39,6 +39,9 @@ sweep cap n = 6, runs this form.  Every other field runs it on ``Field``
 methods, which need no table of q^4 entries: every single-b query and
 every CLI call but ``verify``, at any n, and every n >= 7.  Both forms
 return equal records, take the same exits and raise the same errors.
+The mu-case witness walk reads the same tables: there each root
+1 + (t + z)/(c w) is one log difference, and elsewhere one ``Field.mul``
+by a stored inverse, with equal witnesses in the same order.
 """
 
 from __future__ import annotations
@@ -243,6 +246,13 @@ def iter_mu_witnesses(field: Field, b: Element) -> Iterator[MuCaseWitness]:
     per b, so its q - 1 inverses serve every root.  They are computed
     during the pass of the first z, each when its w is reached, so the
     first witness does not wait for all of them.
+
+    On a field with log tables (``Field.ensure_tables``) the quotient is
+    one log difference, x = 1 + exp[log(t + z) - log(c w)] with the
+    exponent modulo q^4 - 1, and the pass keeps log(c w) in place of
+    1/(c w).  t + z is never 0: t lies in mu_{q^2+1} \\ {1}, which meets
+    GF(q^2) only in 1, and z in GF(q)*.  Both forms yield the same
+    witnesses in the same order.
     """
     b = _require_element(field, b)
     n = field.n
@@ -251,28 +261,37 @@ def iter_mu_witnesses(field: Field, b: Element) -> Iterator[MuCaseWitness]:
             f"{field.encode_hex(b)} is not in the mu_(q+1) subgroup minus 1"
         )
     c = field.sqrt(b)
-    scaled = []  # (w, c*w, 1/(c*w)) for every w in GF(q)*
+    tables = field._tables
+    if tables is not None:
+        exp, log = tables
+        N = field.group_order
+    # (w, c*w, 1/(c*w)) for every w in GF(q)*, or (w, c*w, log(c*w)) on tables
+    scaled = []
 
     def scale_while_walking():  # the first z's pass fills scaled
         for w in field.iter_subfield(n):
             if w:
                 cw = field.mul(c, w)
-                scaled.append((w, cw, field.inv(cw)))
+                scaled.append((w, cw, field.inv(cw) if tables is None else log[cw]))
                 yield scaled[-1]
 
     for z in field.iter_subfield(n):
         if z == 0:
             continue
         z_z_inv = z ^ field.inv(z)
-        for w, cw, cw_inv in scaled or scale_while_walking():
+        for w, cw, cw_key in scaled or scale_while_walking():
             T = z_z_inv ^ cw
             if T == 0:
                 raise InternalDegenerate(
                     "T = z + 1/z + c*w vanished; it must lie outside GF(q)"
                 )
             for t in solve_t_from_T(field, T):
+                if tables is None:
+                    x = 1 ^ field.mul(t ^ z, cw_key)
+                else:
+                    x = 1 ^ exp[(log[t ^ z] - cw_key) % N]
                 # positional: the keyword form costs twice as much to build
-                yield MuCaseWitness(z, w, T, t, 1 ^ field.mul(t ^ z, cw_inv))
+                yield MuCaseWitness(z, w, T, t, x)
 
 
 def solve_mu_case(field: Field, b: Element) -> Tuple[Element, ...]:
@@ -410,9 +429,10 @@ def generic_intermediates(field: Field, b: Element) -> GenericIntermediates:
     The exits are l_delta = 0 and l_alpha = 0, b in GF(q^2) is
     l_b = 0 modulo q^2 + 1, and every sum of scalars costs one exp
     lookup per term and one log lookup.  This form serves the whole-field
-    passes of ``spectrum``, which run it for every b; every other field
-    keeps the ``Field``-method form below, which needs no tables.  Both
-    return equal records.
+    passes of ``spectrum``, which run it for every b outside GF(q^2),
+    with the constants that depend on n alone kept on the field; every
+    other field keeps the ``Field``-method form below, which needs no
+    tables.  Both return equal records.
     """
     b = _require_element(field, b)
     if field._tables is not None:
@@ -491,19 +511,24 @@ def _generic_on_logs(field: Field, b: Element) -> GenericIntermediates:
     quotient of s, or a power or Frobenius image of s.
     """
     exp, log = field._tables
-    N, q, d = field.group_order, field.q, field.d
-    half = (N + 1) >> 1  # 1/2 mod N: the log of sqrt(s) is half * l_s
+    constants = field._log_constants
+    if constants is None:  # built on the first call on the field
+        N, q = field.group_order, field.q
+        constants = field._log_constants = (
+            N, q, field.d, (N + 1) >> 1, q * q, q - 1, q + 1
+        )
+    N, q, d, half, q2, q_minus, q_plus = constants
     lb = log[b]
     # GF(q^2)* is generated by g^(q^2 + 1), and log[0] = 0 puts b = 0 in too
-    if lb % (q * q + 1) == 0:
+    if lb % (q2 + 1) == 0:
         raise PreconditionViolated(_inside_gf_q2(field, b))
     lc = -lb * half % N
-    lc_q2 = lc * q * q % N
+    lc_q2 = lc * q2 % N
     la = (lc + lc_q2) % N
     c, alpha = exp[lc], exp[la]
     beta = c ^ exp[lc_q2]
     l_beta = log[beta]
-    ld = (l_beta - la) * (q - 1) % N
+    ld = (l_beta - la) * q_minus % N
     delta = exp[ld]
     if ld == 0:
         return GenericIntermediates(b, c, alpha, beta, delta, failure=FAIL_DELTA_ONE)
@@ -512,8 +537,8 @@ def _generic_on_logs(field: Field, b: Element) -> GenericIntermediates:
 
     lg = (lc - l_beta) % N
     gamma = exp[lg]
-    k_num = exp[la * (q + 1) % N] ^ 1
-    U = gamma ^ exp[lg * q % N] ^ (k_num and exp[(log[k_num] - l_beta * (q + 1)) % N])
+    k_num = exp[la * q_plus % N] ^ 1
+    U = gamma ^ exp[lg * q % N] ^ (k_num and exp[(log[k_num] - l_beta * q_plus) % N])
     uu = U and U ^ exp[2 * log[U] % N]
     if uu == 0:
         raise InternalDegenerate("U + U^2 vanished, but Tr_1^n(U + U^2) = 1")
@@ -530,7 +555,7 @@ def _generic_on_logs(field: Field, b: Element) -> GenericIntermediates:
     lam_den = B1 ^ (B and exp[lB * q % N])
     if lam_den == 0:
         raise InternalDegenerate("B1 + B^q vanished, which puts T = B + B^q in GF(q)")
-    l_lam_sq = log[lam_den] * (q - 1) % N
+    l_lam_sq = log[lam_den] * q_minus % N
     if l_lam_sq == 0:
         raise InternalDegenerate("lam^2 = 1, which puts T = B1 + B in GF(q)")
     lam_sq = exp[l_lam_sq]

@@ -16,15 +16,21 @@ array in order; ``bruteforce_histogram`` sorts all the values and reads
 only the neighbours that repeat, so it builds no per-b array.
 
 The enumeration, the formula path of ``ddt_row`` and the verifier share
-one per-b pass, which runs the generic chain once per b after
-``Field.ensure_tables`` on the caller's field.  On every field within the
-cap that switches the chain to the exponent form of
-``solver.generic_intermediates`` and changes no ``Field`` result; the
-tables take 8 bytes an element (128 MB at n = 6).  The formula path runs
-the pass once per field: the a = 1 row it relabels is kept on the field.
-The verifier builds no per-b solution set for the two-solution family: it
-takes the pair {x, x+1} from the chain's record, and re-verifies each
-listed root in the per-b pass, where it lists it, on the field's x^d table.
+one GF(q^2)/outside dispatch, ``_gf_q2_runs``: it classifies the q^2
+elements of GF(q^2) and hands the caller the run of b between each and
+the next, after ``Field.ensure_tables`` on the caller's field.  Each
+caller's per-b pass is then one flat loop over those runs that calls
+``solver.generic_intermediates`` once per b outside GF(q^2), with no
+membership test, ``Classification`` or generator step per b.  On every
+field within the cap the tables switch the chain to its exponent form and
+the mu-case listings to one log difference per root, and change no
+``Field`` result; they take 8 bytes an element (128 MB at n = 6).  The
+formula path runs the pass once per field: the a = 1 row it relabels is
+kept on the field.  Per b outside GF(q^2) the verifier makes the chain
+call, one compare with the tally and, for a completed chain, one check of
+the pair {x, x+1} on the field's x^d table; it builds no solution set for
+them.  It lists the roots of b = 1 and of the mu case, and re-verifies
+each where it lists it.
 
 numpy is imported on first use, inside the functions that build or tally
 arrays (the tally, the histogram, ``ddt_row`` and the verifier), so
@@ -43,7 +49,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field as dataclass_field
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Tuple
 
 from . import solver
 from .errors import (
@@ -64,9 +70,6 @@ from .solver import (
     CASE_GENERIC_TWO,
     CASE_NO_SOLUTION,
     Classification,
-    GenericIntermediates,
-    _GENERIC_TWO,
-    _NO_SOLUTION,
     _as_integer,
     _classify_with_chain,
 )
@@ -312,38 +315,35 @@ def formula_histogram(n: int) -> SpectrumHistogram:
 # ---------------------------------------------------------------------
 
 
-def _classified(
-    field: Field,
-) -> Iterator[Tuple[Element, Classification, Optional[GenericIntermediates]]]:
-    """(b, classification, chain) for every b in ascending order: the one
-    per-b pass, one chain per b after ``field.ensure_tables()``, which
-    puts the chain in its exponent form on every field the callers' cap
-    admits.
+def _gf_q2_runs(field: Field) -> Iterator[Tuple[Element, Classification, range]]:
+    """(b, its classification, the run of b outside GF(q^2) after it) for
+    each of the q^2 elements b of GF(q^2), in ascending order: the one
+    GF(q^2)/outside dispatch of the per-b pass.
 
-    Membership in GF(q^2) is read from a set of its q^2 elements, so a b
-    outside it is checked once, by ``solver.generic_intermediates``, which
-    is called through its module and whose failure tag gives the case.
+    The run holds every b up to the next element of GF(q^2), or up to the
+    end of the field.  0 lies in GF(q^2), so a caller that handles each b
+    and then its run visits every b once, in ascending order, with no
+    membership test per b.  The caller runs ``solver.generic_intermediates``
+    on each b of a run, after the ``field.ensure_tables()`` made here,
+    which puts the chain in its exponent form on every field the callers'
+    cap admits.
     """
     field.ensure_tables()
-    inside = frozenset(field.iter_subfield(2 * field.n))
-    for b in range(field.size):
-        if b in inside:
-            yield (b, *_classify_with_chain(field, b))
-        else:
-            chain = solver.generic_intermediates(field, b)
-            yield b, _GENERIC_TWO if chain.failure is None else _NO_SOLUTION, chain
+    inside = list(field.iter_subfield(2 * field.n))  # ascending
+    for b, end in zip(inside, inside[1:] + [field.size]):
+        yield b, _classify_with_chain(field, b)[0], range(b + 1, end)
 
 
 def s2_enumerate(field: Field) -> Tuple[int, Tuple[Element, ...]]:
     """(count, members) of the two-solution family, members in ascending
-    order, from the per-b pass (one chain per b; switches ``field`` to
-    tables)."""
+    order, from the per-b pass (one chain per b outside GF(q^2); switches
+    ``field`` to tables)."""
     _require_within_cap(field, "two-solution family enumeration")
-    members = tuple(
-        b for b, classification, _ in _classified(field)
-        if classification.case == CASE_GENERIC_TWO
-    )
-    return len(members), members
+    chain_of = solver.generic_intermediates  # through the module, once a pass
+    members = []
+    for _, _, run in _gf_q2_runs(field):
+        members += [b for b in run if chain_of(field, b).failure is None]
+    return len(members), tuple(members)
 
 
 # ---------------------------------------------------------------------
@@ -358,7 +358,8 @@ def ddt_row(field: Field, a: Element, method: str = METHOD_FORMULA) -> np.ndarra
     b/a^d, so the a-row is the a=1 row relabelled by b -> a^d * b.  The
     formula path applies the relabelling to the a=1 row, which the first
     call on a field builds by the per-b classification pass (one chain per
-    b, after ``field.ensure_tables()``) and keeps on the field;
+    b outside GF(q^2), after ``field.ensure_tables()``) and keeps on the
+    field;
     the bruteforce path tallies the derivative directly.  Both paths
     agree.  ``a`` may be any integer type but ``bool``.
     """
@@ -381,8 +382,10 @@ def ddt_row(field: Field, a: Element, method: str = METHOD_FORMULA) -> np.ndarra
     row_one = field._formula_row_one
     if row_one is None:
         row_one = np.zeros(field.size, dtype=np.int64)
-        for b, classification, _ in _classified(field):
-            row_one[b] = classification.predicted_count
+        chain_of = solver.generic_intermediates  # through the module, once a pass
+        for b_in, classification, run in _gf_q2_runs(field):
+            row_one[b_in] = classification.predicted_count
+            row_one[[b for b in run if chain_of(field, b).failure is None]] = 2
         row_one.flags.writeable = False
         field._formula_row_one = row_one
     scale = field.pow(a, field.d)
@@ -450,51 +453,59 @@ def _check_all(
     """Classify every b, check its predicted count against the tally, and
     re-verify every root the solver lists, where it lists it.
 
-    One chain run per b serves the prediction, and a completed chain's
-    root x gives the generic pair {x, x+1} directly.  Each root is checked
-    as P[x] + P[x+1] = b on ``Field.power_table()`` P, which the tally has
-    already built; D(x) = D(x+1), so one comparison covers both roots of a
-    pair.  b = 1 and the mu case list their ``SolutionSet``; a mu-case
-    listing raises InternalDegenerate unless it holds q^2 - q distinct
-    roots, and that b gets an error row.  The tally and P are read through
-    memoryviews, which yield Python ints.  Rows come out in ascending b
-    within each tag, and the roots of one b in the order the solution set
-    lists them.
+    One flat loop over the runs of ``_gf_q2_runs``.  For a b outside
+    GF(q^2) it runs the chain once, compares the count its outcome
+    predicts (2 or 0) with the tally, and checks a completed chain's pair
+    {x, x+1} as P[x] + P[x+1] = b on ``Field.power_table()`` P, which the
+    tally has already built; D(x) = D(x+1), so one comparison covers both
+    roots.  Such a b builds no ``Classification`` and no solution set.
+    The q^2 elements of GF(q^2) take their classification from the
+    dispatch: b = 1 and the mu case list their ``SolutionSet``, and a
+    mu-case listing raises InternalDegenerate unless it holds q^2 - q
+    distinct roots, which gives that b an error row.  The tally and P are
+    read through memoryviews, which yield Python ints.  Rows come out in
+    ascending b within each tag, and the roots of one b in the order the
+    solution set lists them.
     """
     mismatches: Dict[str, List[dict]] = {}
     s2_seen = 0
     actual_counts = memoryview(counts)  # indexes to Python ints, without a copy
     power = memoryview(field.power_table())
+    chain_of = solver.generic_intermediates  # through the module, once a pass
 
-    def record(tag: str, row: dict) -> None:
-        mismatches.setdefault(tag, []).append(row)
+    def record(tag: str, b: Element, row: dict) -> None:
+        mismatches.setdefault(tag, []).append({"b": field.encode_hex(b), **row})
 
     def record_root(b: Element, x: Element) -> None:
-        record("root_verification", {"b": field.encode_hex(b), "x": field.encode_hex(x)})
+        record("root_verification", b, {"x": field.encode_hex(x)})
 
-    for b, classification, chain in _classified(field):
+    for b, classification, run in _gf_q2_runs(field):
         case, predicted = classification
-        generic = case == CASE_GENERIC_TWO
-        s2_seen += generic
         actual = actual_counts[b]
         if predicted != actual:
-            record(
-                case,
-                {"b": field.encode_hex(b), "predicted": predicted, "actual": actual},
-            )
-            continue
-        if generic:
-            low = chain.branch.x & ~1  # the pair {x, x+1}, sorted
-            if power[low] ^ power[low | 1] != b:
-                record_root(b, low)
-                record_root(b, low | 1)
+            record(case, b, {"predicted": predicted, "actual": actual})
         elif case != CASE_NO_SOLUTION:  # b = 1 or the mu case
             try:
                 for x in solver.SolutionSet(field, b, classification):
                     if power[x] ^ power[x ^ 1] != b:
                         record_root(b, x)
             except InternalDegenerate as exc:
-                record(case, {"b": field.encode_hex(b), "error": str(exc)})
+                record(case, b, {"error": str(exc)})
+        for b in run:
+            chain = chain_of(field, b)
+            actual = actual_counts[b]
+            if chain.failure is not None:
+                if actual:
+                    record(CASE_NO_SOLUTION, b, {"predicted": 0, "actual": actual})
+                continue
+            s2_seen += 1
+            if actual != 2:
+                record(CASE_GENERIC_TWO, b, {"predicted": 2, "actual": actual})
+                continue
+            low = chain.branch.x & ~1  # the pair {x, x+1}, sorted
+            if power[low] ^ power[low | 1] != b:
+                record_root(b, low)
+                record_root(b, low | 1)
     return mismatches, s2_seen
 
 
@@ -505,7 +516,8 @@ def verify_conjecture(field: Field) -> VerificationReport:
     classify/solve pass that re-verifies every root where it lists it,
     and the two-solution-family count comparison.  The tally is the
     chunked half-pair pass of ``bruteforce_counts``; the per-b pass runs
-    one chain per b, serially, after ``field.ensure_tables()``.
+    one chain per b outside GF(q^2), serially, after
+    ``field.ensure_tables()``.
     """
     _require_within_cap(field, "exhaustive verification")
     elapsed: Dict[str, float] = {}

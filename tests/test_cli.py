@@ -200,6 +200,43 @@ class TestSolve:
         code, _, _ = run(capsys, "solve", "--n", "1", "--b", "0x1", "--format", "csv")
         assert code == EXIT_BAD_INPUT
 
+    def test_listing_past_the_cap_exits_before_listing(self, capsys, monkeypatch):
+        # q^2 - q ~ 2^30 roots at n = 15 (about a day to list): the count
+        # alone decides, so no witness is walked
+        def no_listing(field, b):
+            raise AssertionError("listed past the cap")
+
+        monkeypatch.setattr(solver, "solve_mu_case", no_listing)
+        code, out, err = run(capsys, "solve", "--n", "15", "--b", "0x7ef4157045fc9e")
+        assert code == EXIT_FIELD_TOO_LARGE
+        assert out == ""
+        assert err == (
+            "error: b = 0x7ef4157045fc9e has 1073709056 solutions; "
+            f"solve lists at most {cli.MAX_LISTED_ROOTS}\n"
+        )
+
+    def test_subfield_listing_past_the_cap(self, capsys):
+        # b = 1 at n = 9 has q^2 = 2^18 roots; its summary needs no listing
+        code, _, err = run(capsys, "solve", "--n", "9", "--b", "0x1", "--enumerate-subfield")
+        assert code == EXIT_FIELD_TOO_LARGE and err.count("\n") == 1
+        code, out, _ = run(capsys, "solve", "--n", "9", "--b", "0x1")
+        assert (code, out) == (EXIT_OK, "count=262144 (all of GF(262144))\n")
+
+    def test_wrong_listed_root_exits_internal(self, capsys, monkeypatch):
+        # the roots are re-checked one pair {x, x+1} at a time; a listed
+        # root that does not solve the equation is a library fault
+        solve_mu = solver.solve_mu_case
+
+        def wrong_last_root(field, b):
+            roots = solve_mu(field, b)
+            return (*roots[:-1], 0x0)
+
+        monkeypatch.setattr(solver, "solve_mu_case", wrong_last_root)
+        code, out, err = run(capsys, "solve", "--n", "2", "--b", "0xc")
+        assert code == EXIT_INTERNAL
+        assert out == ""
+        assert err == "error: internal verification failed: solution 0x0 failed re-verification\n"
+
     def test_solutions_sorted_ascending(self, capsys):
         code, out, _ = run(capsys, "solve", "--n", "2", "--b", "0x1", "--enumerate-subfield")
         assert code == EXIT_OK
@@ -428,8 +465,8 @@ class TestOutput:
         # A text classify or solve loads neither numpy nor spectrum, nor the
         # dataclasses and json that spectrum imports, beyond what a bare
         # interpreter holds.  Per n: a two-solution b, a zero b, b = 1 and a
-        # mu_(q+1) b.  Solving the mu_(q+1) b at n = 15 would list
-        # q^2 - q ~ 2^30 roots, so it is only classified there.
+        # mu_(q+1) b.  The mu_(q+1) b at n = 15 has q^2 - q ~ 2^30 roots,
+        # past the listing cap, so solving it exits 5 before any is listed.
         queries = {
             1: ["0x9", "0x0", "0x1", "0x6"],
             4: ["0x2", "0x0", "0x1", "0x409a"],
@@ -440,7 +477,11 @@ class TestOutput:
             for n, values in queries.items()
             for command in ("classify", "solve")
             for b in values
-            if not (command == "solve" and n == 15 and b == values[3])
+        ]
+        expected_codes = [
+            EXIT_FIELD_TOO_LARGE if argv == ["solve", "--n", "15", "--b", "0x7ef4157045fc9e"]
+            else EXIT_OK
+            for argv in argvs
         ]
         prelude = "import io, sys, contextlib\n"
         script = (
@@ -460,7 +501,7 @@ class TestOutput:
         result = fresh_python("-c", script)
         assert (bare.returncode, result.returncode) == (0, 0), result.stderr
         codes, cases, modules = ast.literal_eval(result.stdout)
-        assert codes == [EXIT_OK] * len(argvs)
+        assert codes == expected_codes
         assert cases == [
             "case=GENERIC_TWO", "case=NO_SOLUTION", "case=B_EQUALS_ONE", "case=MU_CASE",
         ] * len(queries)

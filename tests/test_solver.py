@@ -369,6 +369,22 @@ class TestMuCase:
                 assert w.x == field.inv(1 ^ field.mul(w.z, w.t))
                 assert verify_solution(field, w.x, b)
 
+    @pytest.mark.parametrize(
+        "n, modulus", [(1, None), (2, None), (3, None), (4, None), (2, 0x11D)],
+        ids=["n1", "n2", "n3", "n4", "n2-0x11d"],
+    )
+    def test_log_roots_match_field_methods(self, n, modulus):
+        # on tables each root is one log difference; every witness, and
+        # their order, is the one the Field-method walk yields
+        tables, plain = Field(n, modulus), Field(n, modulus)
+        tables.ensure_tables()
+        assert tables._tables is not None and plain._tables is None
+        q = plain.q
+        mu = sorted({plain.pow(y, q - 1) for y in plain.iter_subfield(2 * n) if y} - {1})
+        assert len(mu) == q
+        for b in mu:
+            assert list(iter_mu_witnesses(tables, b)) == list(iter_mu_witnesses(plain, b)), b
+
     @pytest.mark.parametrize("n", [1, 2])
     def test_no_solution_lies_in_gf_q2(self, fields, n):
         field = fields[n]

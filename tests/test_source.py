@@ -54,13 +54,15 @@ def test_every_raise_is_a_library_error(path):
     assert offending == []
 
 
-# (file, function) that may read Field._tables: the table builder and the
-# generic chain's exponent form with its dispatch
+# (file, function) that may read Field._tables: the table builder, the
+# generic chain's exponent form with its dispatch, and the mu-case witness
+# walk, whose roots are one log difference on a field with tables
 TABLE_READERS = {
     ("field.py", "Field.__init__"),
     ("field.py", "Field.ensure_tables"),
     ("solver.py", "generic_intermediates"),
     ("solver.py", "_generic_on_logs"),
+    ("solver.py", "iter_mu_witnesses"),
 }
 
 
